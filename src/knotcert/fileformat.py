@@ -105,13 +105,9 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(generators, relators)
 
 
-def word_to_text(w: Word) -> str:
-    return str(w)
-
-
 def presentation_to_text(P: Presentation) -> str:
     lines = ["gens: " + " ".join(P.generators)]
     for r in P.relators:
-        body = word_to_text(r)
+        body = str(r)
         lines.append("rel: " + body if body else "rel:")
     return "\n".join(lines) + "\n"

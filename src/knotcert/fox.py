@@ -31,8 +31,8 @@ class GroupRingElement:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict[Word, int] | Iterable[tuple[Word, int]] = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict[Word, int] = {}
         for w, c in items:
             if c:
@@ -175,21 +175,6 @@ class IdealGenerators:
 
     gens: tuple[LaurentPoly, ...]
 
-    @classmethod
-    def from_polys(cls, polys: Iterable[LaurentPoly]) -> "IdealGenerators":
-        seen = set()
-        out = []
-        for f in polys:
-            c = f.canonical()
-            if c.is_zero():
-                continue
-            if c.is_unit():
-                return cls(gens=(LaurentPoly.one(),))
-            if c.items() not in seen:
-                seen.add(c.items())
-                out.append(c)
-        return cls(gens=tuple(out))
-
     def is_unit_ideal(self) -> bool:
         return any(g == LaurentPoly.one() for g in self.gens)
 
@@ -222,7 +207,11 @@ def elementary_ideal(M: LaurentMatrix, k: int) -> IdealGenerators:
     size = n - k
     if size > M.rows:
         return IdealGenerators(gens=())
-    return IdealGenerators.from_polys(minors(M, size))
+    # minors are already canonical, nonzero and deduplicated
+    gens = tuple(minors(M, size))
+    if LaurentPoly.one() in gens:
+        gens = (LaurentPoly.one(),)
+    return IdealGenerators(gens=gens)
 
 
 def alexander_polynomial(P: Presentation) -> LaurentPoly:

@@ -8,8 +8,11 @@ exponent-sum matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .laurent import bareiss_det
 
 
 class IntMatrix:
@@ -67,25 +70,7 @@ class IntMatrix:
         """Determinant by fraction-free elimination (square matrices)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.row_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return bareiss_det(self.row_lists(), 1, operator.floordiv)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,9 +91,6 @@ class SnfResult:
 
     def diagonal(self) -> list[int]:
         return self.D.diagonal()
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d)
 
 
 def smith_normal_form(A: IntMatrix) -> SnfResult:

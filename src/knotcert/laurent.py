@@ -6,13 +6,21 @@ integer coefficient.  All arithmetic is exact; there is no floating point
 anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 "up to units" is decided by comparing canonical forms (see
 :meth:`LaurentPoly.canonical`).
+
+Two kernels carry the heavy work.  :func:`_divmod_dense` is the only
+polynomial long-division loop: :func:`divide_exact`, :func:`divides` and
+the pseudo-remainders of :func:`laurent_gcd` all go through it.
+:func:`bareiss_det` is the only fraction-free elimination: it serves
+:func:`laurent_det` here and ``IntMatrix.det`` over the integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 class NotDivisible(ArithmeticError):
@@ -47,8 +55,8 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] = ()):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         acc: dict[int, int] = {}
         for exp, c in items:
             if c:
@@ -64,10 +72,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
 
     @classmethod
     def t_power(cls, exp: int) -> "LaurentPoly":
@@ -203,6 +207,37 @@ class LaurentPoly:
         return f"LaurentPoly('{self}')"
 
 
+def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]] | None:
+    """Long division in Z[t] of dense coefficient lists, lowest degree
+    first, with den[-1] != 0.
+
+    Returns (quot, rem) with num = quot*den + rem and len(rem) < len(den),
+    or None as soon as the leading coefficient of den fails to divide the
+    current top coefficient of the remainder, which can only happen when
+    den is not monic up to sign.
+
+    >>> _divmod_dense([-1, 0, 1], [-1, 1])
+    ([1, 1], [0])
+    >>> _divmod_dense([1, 0, 1], [1, 2]) is None
+    True
+    """
+    rem = list(num)
+    n = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(num) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        top = rem[i + n]
+        if top == 0:
+            continue
+        q, r = divmod(top, lead)
+        if r:
+            return None
+        quot[i] = q
+        for j, d in enumerate(den):
+            rem[i + j] -= q * d
+    return quot, rem[:n]
+
+
 def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Return q with f = q*g, or raise NotDivisible.
 
@@ -213,38 +248,19 @@ def divide_exact(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         raise DivisionByZero("division by the zero polynomial")
     if f.is_zero():
         return LaurentPoly.zero()
-    fm, gm = f.min_exp(), g.min_exp()
-    num = f.shifted(-fm).dense_coeffs()
-    den = g.shifted(-gm).dense_coeffs()
-    if len(num) < len(den):
+    qr = _divmod_dense(f.dense_coeffs(), g.dense_coeffs())
+    if qr is None or any(qr[1]):
         raise NotDivisible(f"({f}) is not divisible by ({g})")
-    quot = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    lead = den[-1]
-    for i in range(len(quot) - 1, -1, -1):
-        top = rem[i + len(den) - 1]
-        if top == 0:
-            continue
-        q, r = divmod(top, lead)
-        if r:
-            raise NotDivisible(f"({f}) is not divisible by ({g})")
-        quot[i] = q
-        for j, d in enumerate(den):
-            rem[i + j] -= q * d
-    if any(rem):
-        raise NotDivisible(f"({f}) is not divisible by ({g})")
-    return LaurentPoly({i + fm - gm: c for i, c in enumerate(quot)})
+    shift = f.min_exp() - g.min_exp()
+    return LaurentPoly({i + shift: c for i, c in enumerate(qr[0])})
 
 
 def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
     """True when g divides f in Z[t, t^-1]."""
-    if g.is_zero():
+    if g.is_zero() or f.is_zero():
         return f.is_zero()
-    try:
-        divide_exact(f, g)
-        return True
-    except NotDivisible:
-        return False
+    qr = _divmod_dense(f.dense_coeffs(), g.dense_coeffs())
+    return qr is not None and not any(qr[1])
 
 
 _cyclotomic_cache: dict[int, LaurentPoly] = {}
@@ -292,20 +308,10 @@ def _pp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             # b is a unit times a constant; primitive, so gcd is 1
             return LaurentPoly.one()
         lead = b.coeff(b.max_exp())
-        scaled = a * (lead ** (da - db + 1))
-        # pseudo-remainder by dense long division in Z[t]
-        num = scaled.shifted(-scaled.min_exp()).dense_coeffs() if scaled else []
-        den = b.shifted(-b.min_exp()).dense_coeffs()
-        for i in range(len(num) - len(den), -1, -1):
-            top = num[i + len(den) - 1]
-            if top == 0:
-                continue
-            q = top // den[-1]
-            assert top % den[-1] == 0
-            for j, d in enumerate(den):
-                num[i + j] -= q * d
-        rem = LaurentPoly(dict(enumerate(num)))
-        a, b = b, _primitive_part(rem)
+        # scaling by lead^(da-db+1) makes every division step exact
+        qr = _divmod_dense((a * lead ** (da - db + 1)).dense_coeffs(), b.dense_coeffs())
+        assert qr is not None
+        a, b = b, _primitive_part(LaurentPoly(dict(enumerate(qr[1]))))
     return a.canonical()
 
 
@@ -367,32 +373,43 @@ class LaurentMatrix:
         return f"LaurentMatrix({self.rows}x{self.cols}: {body})"
 
 
-def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant over Z[t, t^-1] by fraction-free (Bareiss) elimination.
+def bareiss_det(rows: list[list[T]], one: T, exact_div: Callable[[T, T], T]) -> T:
+    """Determinant of a square matrix over an integral domain by
+    fraction-free (Bareiss) elimination.
 
-    Every division performed is exact in the ring, so no rational
-    arithmetic is needed.  The empty matrix has determinant 1.
+    exact_div(a, b) must return a / b whenever b divides a; every division
+    the elimination performs is of that kind.  The empty matrix has
+    determinant one.
+
+    >>> bareiss_det([[2, 1], [4, 5]], 1, lambda a, b: a // b)
+    6
     """
     n = len(rows)
     if n == 0:
-        return LaurentPoly.one()
+        return one
     m = [row[:] for row in rows]
     sign = 1
-    prev = LaurentPoly.one()
+    prev = one
     for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if not m[i][k].is_zero()), None)
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
         if pivot_row is None:
-            return LaurentPoly.zero()
+            return m[k][k]  # the rest of column k is zero, and so is det
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = divide_exact(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPoly.zero()
+                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant over Z[t, t^-1] by :func:`bareiss_det`, so no rational
+    arithmetic is needed.  The empty matrix has determinant 1.
+    """
+    return bareiss_det(rows, LaurentPoly.one(), divide_exact)
 
 
 def minors(M: LaurentMatrix, k: int) -> list[LaurentPoly]:

@@ -100,11 +100,6 @@ def product_to_amalgam(w: Word) -> Word:
     return w.substitute("y", Word.gen("y", -1))
 
 
-def is_trivial_in_product_group(tk: TorusKnotParams, w: Word) -> bool:
-    """Word problem for the relator-product presentation <x, y | x^p y^q>."""
-    return normal_form(tk, product_to_amalgam(w)).is_trivial()
-
-
 def apply_images(w: Word, images: Mapping[str, Word]) -> Word:
     """Substitute images for every generator of w and reduce."""
     out = Word.identity()

@@ -89,10 +89,6 @@ class Word:
             out.extend([(g, step)] * abs(e))
         return out
 
-    @classmethod
-    def from_letters(cls, letters: Iterable[tuple[str, int]]) -> "Word":
-        return cls(letters)
-
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)
 
@@ -148,10 +144,6 @@ class Word:
 
 def commutator(a: Word, b: Word) -> Word:
     return a * b * a.inverse() * b.inverse()
-
-
-def conjugate(w: Word, by: Word) -> Word:
-    return by * w * by.inverse()
 
 
 def _rotations(letters: list[tuple[str, int]]):

@@ -172,12 +172,6 @@ class TestConsistency:
     def test_p_independent_trace(self):
         assert derive_gamma_consistency(2).steps == derive_gamma_consistency(3).steps
 
-    def test_tampered_meridian_fails(self):
-        report = derive_gamma_consistency(
-            2, meridian_lhs=Word.gen("v") * Word.gen("u")
-        )
-        assert not report.verified
-
 
 class TestAnnihilatorPoly:
     def test_p1_is_one(self):

@@ -7,27 +7,29 @@ import pytest
 from knotcert.intlinalg import IntMatrix, smith_normal_form
 
 
+def cofactor_det(rows):
+    # independent oracle: first-row cofactor expansion
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        total += (-1) ** j * rows[0][j] * cofactor_det(sub)
+    return total
+
+
 def minors_gcd_oracle(A, k):
     # gcd of all k x k minors, by brute-force cofactor determinants
-    def det(rows):
-        n = len(rows)
-        if n == 0:
-            return 1
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            if rows[0][j] == 0:
-                continue
-            sub = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-            total += (-1) ** j * rows[0][j] * det(sub)
-        return total
-
     grid = A.row_lists()
     g = 0
     for ri in combinations(range(A.rows), k):
         for ci in combinations(range(A.cols), k):
-            g = math.gcd(g, det([[grid[i][j] for j in ci] for i in ri]))
+            g = math.gcd(g, cofactor_det([[grid[i][j] for j in ci] for i in ri]))
     return g
 
 
@@ -113,6 +115,18 @@ def test_random_larger_matrices_contract_only():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         A = IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
         assert_snf_contract(A)
+
+
+def test_det_matches_cofactor_oracle():
+    rng = random.Random(94)
+    for n in range(6):
+        for _ in range(40):
+            # small entries make zero pivots, row swaps and singular matrices common
+            bound = rng.choice((1, 9))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            assert IntMatrix.from_rows(rows).det() == cofactor_det(rows)
+    with pytest.raises(ValueError):
+        IntMatrix(2, 3, [0] * 6).det()
 
 
 def test_entry_count_validation():

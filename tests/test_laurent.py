@@ -128,6 +128,28 @@ class TestDivision:
         assert divides(LaurentPoly.zero(), LaurentPoly.zero())
         assert not divides(LaurentPoly.zero(), ONE)
 
+    def test_divides_agrees_with_divide_exact(self):
+        rng = random.Random(17)
+        cases = [
+            (LaurentPoly.zero(), poly({1: 2, 0: 1})),  # f = 0
+            (T, poly({3: 1, 0: 1})),  # f shorter than g
+            (poly({2: 1, 0: 1}), poly({1: 2, 0: 1})),  # lead 2 does not divide 1
+            (poly({2: 4, 0: -1}), poly({1: 2, 0: 1})),  # lead 2, divisible
+        ]
+        while len(cases) < 400:
+            g = random_poly(rng)
+            if g.is_zero():
+                continue
+            f = random_poly(rng)
+            cases.append((f * g if rng.random() < 0.5 else f, g))
+        for f, g in cases:
+            try:
+                divide_exact(f, g)
+                expected = True
+            except NotDivisible:
+                expected = False
+            assert divides(g, f) == expected
+
 
 class TestCyclotomic:
     def test_first_two(self):
