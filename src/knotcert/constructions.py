@@ -71,12 +71,12 @@ def torus_wirtinger(p: int) -> Presentation:
 
         <z, a1..ap | z = a1...ap a1, z a1 z^-1 = ap, z a_k z^-1 = a_(k-1)>
 
-    One relator is redundant (the presentation is flagged wirtinger).
+    One relator is redundant.
     """
     if p < 2:
         raise InvalidP(f"need p >= 2, got {p}")
     gens = ("z",) + tuple(f"a{i}" for i in range(1, p + 1))
-    return Presentation(gens, _wirtinger_relators("z", "a", p), wirtinger=True)
+    return Presentation(gens, _wirtinger_relators("z", "a", p))
 
 
 def tau_word(p: int) -> Word:

@@ -8,8 +8,9 @@ Grammar (UTF-8, one declaration per line):
 
 where a token is ``name`` or ``name^k`` with k a nonzero integer and a
 name is made of letters, digits and underscores.  The ``gens:`` line
-comes first and appears exactly once; blank lines are ignored.  Printing
-a parsed canonical file reproduces it byte for byte.
+comes first and appears exactly once; blank lines and leading whitespace
+are ignored.  Printing a parsed canonical file reproduces it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -76,29 +77,35 @@ def parse_presentation(text: str) -> Presentation:
         line = raw.strip()
         if not line:
             continue
+        # Columns count from the start of raw, leading whitespace included.
+        # Blanking the keyword out, instead of slicing it off, keeps token
+        # columns in those terms.
+        start = len(raw) - len(raw.lstrip()) + 1
         if line.startswith("gens:"):
             if generators is not None:
-                raise PresentationSyntaxError("duplicate gens: line", lineno, 1)
+                raise PresentationSyntaxError("duplicate gens: line", lineno, start)
             generators = []
-            for token, col in _tokens_with_columns(raw[5:]):
+            for token, col in _tokens_with_columns(raw.replace("gens:", "     ", 1)):
                 if not _NAME_RE.match(token):
                     raise PresentationSyntaxError(
-                        f"bad generator name {token!r}", lineno, col + 5
+                        f"bad generator name {token!r}", lineno, col
                     )
                 if token in generators:
                     raise PresentationSyntaxError(
-                        f"duplicate generator {token!r}", lineno, col + 5
+                        f"duplicate generator {token!r}", lineno, col
                     )
                 generators.append(token)
         elif line.startswith("rel:"):
             if generators is None:
                 raise PresentationSyntaxError(
-                    "rel: line before gens: line", lineno, 1
+                    "rel: line before gens: line", lineno, start
                 )
-            relators.append(parse_word(raw[4:], set(generators), line=lineno))
+            relators.append(
+                parse_word(raw.replace("rel:", "    ", 1), set(generators), line=lineno)
+            )
         else:
             raise PresentationSyntaxError(
-                f"expected 'gens:' or 'rel:', got {line.split()[0]!r}", lineno, 1
+                f"expected 'gens:' or 'rel:', got {line.split()[0]!r}", lineno, start
             )
     if generators is None:
         raise PresentationSyntaxError("missing gens: line", 1, 1)

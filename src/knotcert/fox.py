@@ -6,6 +6,22 @@ d(uv)/dg = du/dg + u * dv/dg.  Abelianizing the Jacobian of a
 presentation's relators through a degree map G -> Z yields the Alexander
 matrix over Z[t, t^-1]; its ideals of minors are isomorphism invariants
 of the group.
+
+:func:`fox_matrix` builds the Alexander matrix straight from syllables:
+a syllable g^e read after a prefix of degree d contributes the geometric
+series t^d + t^(d + deg g) + ... + t^(d + (e-1) deg g) for e > 0, and
+-(t^(d - deg g) + ... + t^(d - |e| deg g)) for e < 0, to column g.  The
+group-ring route (:func:`fox_derivative` then :func:`abelianize_element`)
+computes the same entries and serves as the reference.
+
+:func:`alexander_polynomial` shrinks the matrix before taking minors.
+Elementary ideals are invariant under elementary row and column
+operations (Crowell-Fox, ch. VII; Lickorish, ch. 6), so a unit entry
++-t^k can clear its column and then be deleted with its row and column
+without changing E_k, k counted by column deficiency.  Unit pivots are
+taken in order of least Markowitz cost, which keeps later pivots units:
+Wirtinger presentations of T(p, p+1) shrink to 2x2 and their seam
+quotients to 3x2 for every p.
 """
 
 from __future__ import annotations
@@ -141,19 +157,42 @@ def abelianize_element(
     return LaurentPoly(acc)
 
 
+def _fox_row(
+    relator: Word, column: Mapping[str, int], degree_map: Mapping[str, int]
+) -> list[list[tuple[int, int]]]:
+    # One pass over the syllables with a running prefix degree d; each
+    # column collects (exponent, coefficient) terms for LaurentPoly to sum.
+    row: list[list[tuple[int, int]]] = [[] for _ in column]
+    d = 0
+    for g, e in relator.syllables:
+        deg = degree_map.get(g)
+        if deg is None:
+            raise UnmappedGenerator(f"no degree assigned for generator {g!r}")
+        j = column.get(g)
+        if j is not None:
+            if e > 0:
+                row[j].extend((d + i * deg, 1) for i in range(e))
+            else:
+                row[j].extend((d - i * deg, -1) for i in range(1, 1 - e))
+        d += e * deg
+    return row
+
+
 def fox_matrix(
     generators: Iterable[str],
     relators: Iterable[Word],
     degree_map: Mapping[str, int],
 ) -> LaurentMatrix:
-    gens = tuple(generators)
+    """Abelianized Fox Jacobian, one row per relator and one column per
+    generator; raises UnmappedGenerator when a relator mentions a
+    generator with no degree.
+    """
+    column = {g: j for j, g in enumerate(generators)}
     rels = tuple(relators)
     entries = [
-        abelianize_element(fox_derivative(r, g), degree_map)
-        for r in rels
-        for g in gens
+        LaurentPoly(terms) for r in rels for terms in _fox_row(r, column, degree_map)
     ]
-    return LaurentMatrix(len(rels), len(gens), entries)
+    return LaurentMatrix(len(rels), len(column), entries)
 
 
 def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> LaurentMatrix:
@@ -214,26 +253,59 @@ def elementary_ideal(M: LaurentMatrix, k: int) -> IdealGenerators:
     return IdealGenerators(gens=gens)
 
 
+def _eliminate_unit_pivots(M: LaurentMatrix) -> LaurentMatrix:
+    """Delete unit pivots +-t^k with their row and column after clearing
+    their column by exact row operations; E_k is unchanged for every k.
+
+    Each step takes the unit of least Markowitz cost
+    (row nnz - 1) * (col nnz - 1), first in row-major order on ties, and
+    stops when no entry is a unit.  Every minor of the result is, up to
+    a unit, a minor of M one size larger per deleted pivot.
+    """
+    grid = M.row_lists()
+    cols = M.cols
+    while True:
+        col_nnz = [sum(1 for row in grid if row[j]) for j in range(cols)]
+        best = None
+        for i, row in enumerate(grid):
+            row_nnz = sum(1 for x in row if x)
+            for j, x in enumerate(row):
+                if x.is_unit():
+                    cost = (row_nnz - 1) * (col_nnz[j] - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            return LaurentMatrix(len(grid), cols, [x for row in grid for x in row])
+        _, i, j = best
+        pivot_row = grid.pop(i)
+        ((k, c),) = pivot_row[j].items()
+        inverse = LaurentPoly({-k: c})
+        for row in grid:
+            if row[j]:
+                factor = row[j] * inverse
+                for col, y in enumerate(pivot_row):
+                    if y:
+                        row[col] = row[col] - factor * y
+            del row[j]
+        cols -= 1
+
+
 def alexander_polynomial(P: Presentation) -> LaurentPoly:
     """Canonical generator of the smallest principal ideal containing the
     first elementary ideal of the Alexander matrix, i.e. the gcd of all
     maximal minors.
 
-    For a presentation marked Wirtinger with as many relators as
-    generators, the last (redundant) relator is dropped first; the first
-    elementary ideal is unchanged either way, the drop just avoids
-    needless minors.  Returns 1 for the one-generator free presentation
-    and 0 if every maximal minor vanishes.
+    The minors are taken of the matrix left after unit-pivot elimination,
+    which has the same first elementary ideal and so the same gcd.
+    Returns 1 for the one-generator free presentation and 0 if every
+    maximal minor vanishes.
     """
     ab = abelianization(P)
     if not ab.is_infinite_cyclic():
         raise NotInfiniteCyclicAbelianization(
             f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
         )
-    relators = P.relators
-    if P.wirtinger and len(relators) == len(P.generators):
-        relators = relators[:-1]
-    M = fox_matrix(P.generators, relators, ab.degree_map)
+    M = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, ab.degree_map))
     ideal = elementary_ideal(M, 1)
     if ideal.is_zero_ideal():
         return LaurentPoly.zero()

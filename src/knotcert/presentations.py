@@ -30,21 +30,11 @@ class Presentation:
 
     Relators are stored freely and cyclically reduced; relators that
     reduce to the identity impose nothing and are not stored.
-
-    The ``wirtinger`` flag marks presentations built with one knowingly
-    redundant relator (one generator and one relator per arc of a knot
-    diagram); downstream Alexander computations may drop the last relator
-    of such presentations.
     """
 
-    __slots__ = ("generators", "relators", "wirtinger")
+    __slots__ = ("generators", "relators")
 
-    def __init__(
-        self,
-        generators: Iterable[str],
-        relators: Iterable[Word] = (),
-        wirtinger: bool = False,
-    ):
+    def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
         gens = tuple(generators)
         for g in gens:
             if not _valid_name(g):
@@ -64,7 +54,6 @@ class Presentation:
                 rels.append(reduced)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(rels))
-        object.__setattr__(self, "wirtinger", bool(wirtinger))
 
     def __setattr__(self, name, value):
         raise AttributeError("Presentation is immutable")
@@ -111,7 +100,7 @@ def add_relator(P: Presentation, w: Word) -> Presentation:
         raise ForeignGenerator(
             f"word {w} uses unknown generator(s) {sorted(foreign)}"
         )
-    return Presentation(P.generators, P.relators + (w,), wirtinger=P.wirtinger)
+    return Presentation(P.generators, P.relators + (w,))
 
 
 def eliminate_generator(P: Presentation, gen: str, defining: Word) -> Presentation:
@@ -139,7 +128,7 @@ def eliminate_generator(P: Presentation, gen: str, defining: Word) -> Presentati
         for j, r in enumerate(P.relators)
         if j != found
     ]
-    return Presentation(new_gens, new_rels, wirtinger=False)
+    return Presentation(new_gens, new_rels)
 
 
 def abelianization(P: Presentation) -> AbelianizationResult:

@@ -57,6 +57,46 @@ class TestCertificateJson:
         assert obj["valid"] is True
 
 
+# Coefficient lines printed by `alexander --file` on each `present` form,
+# recorded from the full-minors implementation.
+ALEXANDER_GOLDEN = {
+    ("wirtinger", 2): "1 -1 1",
+    ("wirtinger", 3): "1 -1 0 1 0 -1 1",
+    ("wirtinger", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
+    ("standard", 2): "1 -1 1",
+    ("standard", 3): "1 -1 0 1 0 -1 1",
+    ("standard", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
+    ("gamma", 2): "1 -1 1",
+    ("gamma", 3): "1 -1 0 1 0 -1 1",
+    ("gamma", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
+    ("gamma-tab", 2): "1 -1 1",
+    ("gamma-tab", 3): "1 -1 0 1 0 -1 1",
+    ("gamma-tab", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
+    ("double", 2): "1 -2 3 -2 1",
+    ("double", 3): "1 -2 1 2 -2 -2 5 -2 -2 2 1 -2 1",
+    ("double", 4): "1 -2 1 0 2 -2 -2 2 3 -2 -2 -2 7 -2 -2 -2 3 2 -2 -2 2 0 1 -2 1",
+}
+
+
+class TestGolden:
+    def test_alexander_on_every_present_form(self, tmp_path):
+        for (form, p), line in ALEXANDER_GOLDEN.items():
+            _, text = capture(["present", "--p", str(p), "--form", form])
+            path = tmp_path / f"{form}-{p}.txt"
+            path.write_text(text, encoding="utf-8")
+            assert capture(["alexander", "--file", str(path)]) == (0, line + "\n")
+
+    def test_verify_tau_verdicts(self):
+        for p in range(2, 6):
+            code, text = capture(["verify-tau", "--p", str(p)])
+            assert code == 0
+            assert text.splitlines()[-3:] == [
+                "quotient abelianization infinite cyclic: yes",
+                "quotient alexander polynomial: 1",
+                "verdict: VERIFIED",
+            ]
+
+
 class TestVerbs:
     def test_present_wirtinger(self):
         code, text = capture(["present", "--p", "2"])

@@ -36,7 +36,6 @@ class TestTorusWirtinger:
             W(("z", 1), ("a1", 1), ("z", -1), ("a2", -1)),
             W(("z", 1), ("a2", 1), ("z", -1), ("a1", -1)),
         )
-        assert P.wirtinger
 
     def test_p3_shape(self):
         P = torus_wirtinger(3)

@@ -110,3 +110,22 @@ def test_printer_format():
         "rel: z a1 z^-1 a2^-1\n"
         "rel: z a2 z^-1 a1^-1\n"
     )
+
+
+def test_indented_lines():
+    for indent in ("  ", "\t", " \t "):
+        P = parse_presentation(f"{indent}gens: x y\n{indent}rel: x^2 y^-3\n")
+        assert P.generators == ("x", "y")
+        assert P.relators == (Word([("x", 2), ("y", -3)]),)
+
+
+def test_columns_count_from_the_raw_line():
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation("gens: x\n\t rel: x ^2\n")
+    assert (info.value.line, info.value.column) == (2, 10)
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation("  gens: x y-\n")
+    assert (info.value.line, info.value.column) == (1, 11)
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation("gens: x\nrel: x^\n")
+    assert info.value.column == 6

@@ -2,19 +2,32 @@ import random
 
 import pytest
 
-from knotcert.constructions import annihilator_poly, gamma_tab_presentation, torus_wirtinger
+from knotcert import fox
+from knotcert.constructions import (
+    annihilator_poly,
+    gamma_tab_presentation,
+    tau_word,
+    torus_wirtinger,
+)
 from knotcert.fox import (
     GroupRingElement,
     NotInfiniteCyclicAbelianization,
     UnmappedGenerator,
+    _eliminate_unit_pivots,
     abelianize_element,
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
     fox_derivative,
+    fox_matrix,
 )
 from knotcert.laurent import LaurentMatrix, LaurentPoly, divide_exact, laurent_gcd
-from knotcert.presentations import Presentation, abelianization, eliminate_generator
+from knotcert.presentations import (
+    Presentation,
+    abelianization,
+    add_relator,
+    eliminate_generator,
+)
 from knotcert.words import Word
 
 ONE = LaurentPoly.one()
@@ -84,6 +97,32 @@ class TestAbelianize:
     def test_unmapped(self):
         with pytest.raises(UnmappedGenerator):
             abelianize_element(gre((Word.gen("q"), 1)), {"x": 1})
+
+
+class TestSyllableFoxMatrix:
+    def test_matches_group_ring_route_on_random_words(self):
+        rng = random.Random(34)
+        gens = ("x", "y", "z")
+        for _ in range(300):
+            degree_map = {g: rng.randint(-3, 3) for g in gens}
+            degree_map[rng.choice(gens)] = 0
+            rels = [
+                Word(
+                    (rng.choice(gens), rng.choice([e for e in range(-10, 11) if e]))
+                    for _ in range(rng.randint(0, 6))
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            M = fox_matrix(gens, rels, degree_map)
+            assert (M.rows, M.cols) == (len(rels), len(gens))
+            for i, r in enumerate(rels):
+                for j, g in enumerate(gens):
+                    oracle = abelianize_element(fox_derivative(r, g), degree_map)
+                    assert M.entry(i, j) == oracle
+
+    def test_unmapped_generator(self):
+        with pytest.raises(UnmappedGenerator):
+            fox_matrix(("x", "y"), [W(("x", 2), ("y", 3))], {"x": 3})
 
 
 class TestAlexanderMatrix:
@@ -195,7 +234,7 @@ class TestAlexanderPolynomial:
                 k = rng.randrange(len(letters))
                 rotated = Word(letters[k:] + letters[:k])
                 mangled.append(rotated.inverse() if rng.random() < 0.5 else rotated)
-            Q = Presentation(P.generators, mangled, wirtinger=P.wirtinger)
+            Q = Presentation(P.generators, mangled)
             assert alexander_polynomial(Q) == delta
 
     def test_invariance_under_generator_elimination(self):
@@ -226,3 +265,89 @@ class TestAlexanderPolynomial:
                     continue
                 sub = [[row[c] for c in range(M.cols) if c != j] for row in grid]
                 assert laurent_det(sub).canonical() == delta
+
+
+def _random_poly(rng):
+    return LaurentPoly(
+        {rng.randint(-2, 2): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+    )
+
+
+def _random_matrix(rng, rows, cols):
+    grid = [[_random_poly(rng) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(rng.randint(0, rows * cols)):
+        unit = LaurentPoly({rng.randint(-3, 3): rng.choice((-1, 1))})
+        grid[rng.randrange(rows)][rng.randrange(cols)] = unit
+    if rng.random() < 0.3:
+        grid[rng.randrange(rows)] = [LaurentPoly.zero()] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = LaurentPoly.zero()
+    return LaurentMatrix(rows, cols, [x for row in grid for x in row])
+
+
+class TestUnitPivotElimination:
+    def test_every_elementary_ideal_matches_full_minors(self):
+        # Full minors of the unreduced matrix are the oracle.  Every minor
+        # of the reduced matrix is, up to a unit, a minor of the original,
+        # so its generators are a subset (unless the original collapsed to
+        # the unit ideal) with the same gcd.  Unit status is compared only
+        # when the reduced ideal is principal: for [[1, 0, 0], [0, 2, 3],
+        # [0, 3, 5]] the reduced E_1 is (2, 3, 5), while the original also
+        # holds the unit minor 2*5 - 3*3.
+        rng = random.Random(35)
+        shapes = {"m<n": 0, "m=n": 0, "m>n": 0}
+        for _ in range(240):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            shapes["m<n" if rows < cols else "m=n" if rows == cols else "m>n"] += 1
+            M = _random_matrix(rng, rows, cols)
+            R = _eliminate_unit_pivots(M)
+            assert R.rows - R.cols == M.rows - M.cols
+            assert not any(x.is_unit() for x in R.entries)
+            for k in range(cols + 2):
+                full = elementary_ideal(M, k)
+                reduced = elementary_ideal(R, k)
+                assert full.is_zero_ideal() == reduced.is_zero_ideal()
+                if full.is_zero_ideal():
+                    continue
+                assert full.is_unit_ideal() or set(reduced.gens) <= set(full.gens)
+                assert laurent_gcd(reduced.gens) == laurent_gcd(full.gens)
+                if len(reduced.gens) == 1:
+                    assert reduced.is_unit_ideal() == full.is_unit_ideal()
+        assert min(shapes.values()) >= 40
+
+    def test_empty_and_fully_reducible_matrices(self):
+        empty = LaurentMatrix(0, 3, [])
+        assert _eliminate_unit_pivots(empty) == empty
+        units = LaurentMatrix(2, 2, [ONE, -ONE, LaurentPoly.t_power(2), LaurentPoly.zero()])
+        assert _eliminate_unit_pivots(units) == LaurentMatrix(0, 0, [])
+
+
+class TestAlexanderAtScale:
+    def test_torus_wirtinger_matches_annihilator(self):
+        for p in range(7, 21):
+            assert alexander_polynomial(torus_wirtinger(p)) == annihilator_poly(p)
+
+    def test_seam_quotient_is_one(self):
+        for p in range(6, 17):
+            Q = add_relator(torus_wirtinger(p), tau_word(p))
+            assert alexander_polynomial(Q) == ONE
+
+    def test_minors_are_taken_of_a_small_matrix(self, monkeypatch):
+        # Fails if alexander_polynomial takes minors of the full matrix.
+        shapes = []
+        real = fox.elementary_ideal
+
+        def spy(M, k):
+            shapes.append((M.rows, M.cols))
+            return real(M, k)
+
+        monkeypatch.setattr(fox, "elementary_ideal", spy)
+        for p in range(2, 13):
+            P = torus_wirtinger(p)
+            alexander_polynomial(P)
+            alexander_polynomial(add_relator(P, tau_word(p)))
+            wirtinger, seam = shapes[-2:]
+            assert wirtinger[0] <= 2 and wirtinger[1] <= 2
+            assert seam[0] <= 3 and seam[1] <= 2
