@@ -408,11 +408,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str], out=None) -> int:
+    # The parser holds no per-call state, so it is built on the first call
+    # and reused: building the whole verb tree costs more than a small verb.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

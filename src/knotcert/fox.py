@@ -26,6 +26,7 @@ quotients to 3x2 for every p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -215,7 +216,18 @@ class IdealGenerators:
     gens: tuple[LaurentPoly, ...]
 
     def is_unit_ideal(self) -> bool:
-        return any(g == LaurentPoly.one() for g in self.gens)
+        """True when the integer gcd of the constant generators is 1, which
+        by Bezout puts 1 in the ideal; a unit generator is the constant 1.
+
+        Sound but not complete: (1 + t, 2 + t) is the unit ideal, since
+        (2 + t) - (1 + t) = 1, yet it has no constant generator and reads
+        False.
+
+        >>> IdealGenerators((LaurentPoly({0: 2}), LaurentPoly({0: 3}))).is_unit_ideal()
+        True
+        """
+        # canonical generators have min_exp 0, so the constants have max_exp 0
+        return math.gcd(*(g.coeff(0) for g in self.gens if g.max_exp() == 0)) == 1
 
     def is_zero_ideal(self) -> bool:
         return not self.gens

@@ -9,7 +9,10 @@ anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 
 Two kernels carry the heavy work.  :func:`_divmod_dense` is the only
 polynomial long-division loop: :func:`divide_exact`, :func:`divides` and
-the pseudo-remainders of :func:`laurent_gcd` all go through it.
+the pseudo-remainders of :func:`laurent_gcd` all go through it.  It costs
+len(quot)*nnz(den) coefficient operations, where nnz counts the divisor's
+nonzero terms, so the sparse torus-knot and cyclotomic divisors are cheap
+however wide their degree span.
 :func:`bareiss_det` is the only fraction-free elimination: it serves
 :func:`laurent_det` here and ``IntMatrix.det`` over the integers.
 """
@@ -184,8 +187,11 @@ class LaurentPoly:
         """Coefficients from min_exp to max_exp inclusive ([] for zero)."""
         if not self._coeffs:
             return []
-        lo, hi = self.min_exp(), self.max_exp()
-        return [self.coeff(e) for e in range(lo, hi + 1)]
+        lo = self.min_exp()
+        dense = [0] * (self.max_exp() - lo + 1)
+        for e, c in self._coeffs.items():
+            dense[e - lo] = c
+        return dense
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -216,6 +222,9 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
     current top coefficient of the remainder, which can only happen when
     den is not monic up to sign.
 
+    Each quotient step subtracts only the nonzero terms of den, so the
+    cost is len(quot)*nnz(den), not len(quot)*len(den).
+
     >>> _divmod_dense([-1, 0, 1], [-1, 1])
     ([1, 1], [0])
     >>> _divmod_dense([1, 0, 1], [1, 2]) is None
@@ -224,6 +233,7 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
     rem = list(num)
     n = len(den) - 1
     lead = den[-1]
+    terms = [(j, d) for j, d in enumerate(den) if d]
     quot = [0] * max(len(num) - n, 0)
     for i in range(len(quot) - 1, -1, -1):
         top = rem[i + n]
@@ -233,7 +243,7 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
         if r:
             return None
         quot[i] = q
-        for j, d in enumerate(den):
+        for j, d in terms:
             rem[i + j] -= q * d
     return quot, rem[:n]
 

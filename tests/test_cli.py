@@ -1,6 +1,7 @@
 import io
 import json
 
+from knotcert import cli
 from knotcert.cli import (
     emit_certificate_json,
     parse_certificate_json,
@@ -237,3 +238,31 @@ class TestVerbs:
             ["distinct-range", "--min", "1", "--max", "4"],
         ):
             assert capture(argv) == capture(argv)
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, tmp_path):
+        # run builds its parser once; a parse error, a usage error raised by
+        # a verb or a flag set in one call must not carry into the next.
+        path = tmp_path / "tall.txt"
+        path.write_text("gens: x y\nrel: x^5 y^-6\n", encoding="utf-8")
+        argvs = [
+            ["distinct", "--p", "2", "--k", "3", "--json"],
+            ["distinct", "--p", "2"],
+            ["distinct", "--p", "2", "--k", "3"],
+            ["frobnicate"],
+            ["alexander", "--file", str(path)],
+            ["gamma", "--p", "0"],
+            ["wp", "--p", "2", "--q", "3", "--word", "x^2 y^-3"],
+            ["present", "--p", "2", "--form", "double"],
+            [],
+            ["distinct-range", "--min", "1", "--max", "4"],
+        ]
+        reused = [capture(argv) for argv in argvs]
+        assert cli._parser is not None
+        fresh = []
+        for argv in argvs:
+            monkeypatch.setattr(cli, "_parser", cli.build_parser())
+            fresh.append(capture(argv))
+        assert reused == fresh
+        assert [code for code, _ in reused] == [0, 2, 0, 2, 0, 2, 0, 0, 2, 0]

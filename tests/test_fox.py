@@ -11,6 +11,7 @@ from knotcert.constructions import (
 )
 from knotcert.fox import (
     GroupRingElement,
+    IdealGenerators,
     NotInfiniteCyclicAbelianization,
     UnmappedGenerator,
     _eliminate_unit_pivots,
@@ -168,6 +169,16 @@ class TestElementaryIdeal:
         assert elementary_ideal(M, 2).gens == (ONE,)
         assert elementary_ideal(M, 5).gens == (ONE,)
 
+    def test_unit_ideal_from_constant_generators(self):
+        def ideal(*gens):
+            return IdealGenerators(tuple(LaurentPoly(g) for g in gens))
+
+        assert ideal({0: 2}, {0: 3}, {0: 5}).is_unit_ideal()
+        assert ideal({0: 6}, {0: 10}, {0: 15}).is_unit_ideal()
+        assert not ideal({0: 4}, {0: 6}).is_unit_ideal()
+        assert not ideal({0: 2}, {0: 1, 1: 1}).is_unit_ideal()
+        assert not ideal().is_unit_ideal()
+
     def test_zero_matrix_zero_ideal(self):
         M = LaurentMatrix(2, 2, [LaurentPoly.zero()] * 4)
         assert elementary_ideal(M, 0).gens == ()
@@ -292,10 +303,12 @@ class TestUnitPivotElimination:
         # Full minors of the unreduced matrix are the oracle.  Every minor
         # of the reduced matrix is, up to a unit, a minor of the original,
         # so its generators are a subset (unless the original collapsed to
-        # the unit ideal) with the same gcd.  Unit status is compared only
-        # when the reduced ideal is principal: for [[1, 0, 0], [0, 2, 3],
-        # [0, 3, 5]] the reduced E_1 is (2, 3, 5), while the original also
-        # holds the unit minor 2*5 - 3*3.
+        # the unit ideal) with the same gcd.  is_unit_ideal is sound but
+        # not complete, so a reduced ideal read as the unit ideal must be
+        # one in the original, and the two flags are compared only when
+        # the reduced ideal is principal, where the flag is exact.  For
+        # [[1, 0, 0], [0, 2, 3], [0, 3, 5]] the reduced E_1 is (2, 3, 5),
+        # while the original holds the unit minor 2*5 - 3*3.
         rng = random.Random(35)
         shapes = {"m<n": 0, "m=n": 0, "m>n": 0}
         for _ in range(240):
@@ -311,8 +324,9 @@ class TestUnitPivotElimination:
                 assert full.is_zero_ideal() == reduced.is_zero_ideal()
                 if full.is_zero_ideal():
                     continue
-                assert full.is_unit_ideal() or set(reduced.gens) <= set(full.gens)
+                assert full.gens == (ONE,) or set(reduced.gens) <= set(full.gens)
                 assert laurent_gcd(reduced.gens) == laurent_gcd(full.gens)
+                assert not reduced.is_unit_ideal() or full.is_unit_ideal()
                 if len(reduced.gens) == 1:
                     assert reduced.is_unit_ideal() == full.is_unit_ideal()
         assert min(shapes.values()) >= 40
@@ -328,6 +342,14 @@ class TestAlexanderAtScale:
     def test_torus_wirtinger_matches_annihilator(self):
         for p in range(7, 21):
             assert alexander_polynomial(torus_wirtinger(p)) == annihilator_poly(p)
+
+    def test_tall_torus_relator_matches_annihilator(self):
+        # <x, y | x^e y^-(e+1)> is the (e, e+1) torus knot group; its Fox
+        # entries are sparse divisors spanning about e^2 degrees.
+        for e in (80, 127, 200):
+            for sx, sy in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+                P = Presentation(("x", "y"), [W(("x", sx * e), ("y", sy * (e + 1)))])
+                assert alexander_polynomial(P) == annihilator_poly(e), (e, sx, sy)
 
     def test_seam_quotient_is_one(self):
         for p in range(6, 17):

@@ -10,6 +10,7 @@ from knotcert.laurent import (
     LaurentPoly,
     NotDivisible,
     SizeTooLarge,
+    _divmod_dense,
     cyclotomic,
     divide_exact,
     divides,
@@ -149,6 +150,93 @@ class TestDivision:
             except NotDivisible:
                 expected = False
             assert divides(g, f) == expected
+
+
+def _divmod_reference(num, den):
+    # The dense long division: every step subtracts all of den, zeros too.
+    rem = list(num)
+    n = len(den) - 1
+    lead = den[-1]
+    quot = [0] * max(len(num) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        top = rem[i + n]
+        if top == 0:
+            continue
+        q, r = divmod(top, lead)
+        if r:
+            return None
+        quot[i] = q
+        for j, d in enumerate(den):
+            rem[i + j] -= q * d
+    return quot, rem[:n]
+
+
+def _mul_dense(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_dense(rng, length, coeff_range=(-9, 9)):
+    return [rng.randint(*coeff_range) for _ in range(length)]
+
+
+class TestDivisionKernel:
+    def test_matches_dense_reference(self):
+        rng = random.Random(41)
+        sparse = [LaurentPoly({n: 1, 0: -1}) for n in (2, 5, 12, 31, 64)]
+        sparse += [cyclotomic(2**a * 3**b) for a, b in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3))]
+        for e in (3, 9, 20):
+            # the two Fox entries of x^e y^-(e+1), up to units
+            sparse.append(LaurentPoly([((e + 1) * i, 1) for i in range(e)]))
+            sparse.append(LaurentPoly([(e * i, 1) for i in range(e + 1)]))
+        sparse.append(LaurentPoly({0: -1, 7: 3}))  # sparse and not monic
+        dens = [g.dense_coeffs() for g in sparse]
+        for _ in range(60):
+            den = _random_dense(rng, rng.randint(1, 12), (1, 9))
+            den = [d * rng.choice((-1, 1)) for d in den]
+            dens.append(den)  # dense: no zero coefficients
+        cases = []
+        for den in dens:
+            for _ in range(20):
+                quot = _random_dense(rng, rng.randint(1, 15))
+                num = _mul_dense(quot, den)
+                kind = rng.randrange(3)
+                if kind == 1:  # plus a remainder
+                    for i, r in enumerate(_random_dense(rng, len(den) - 1)):
+                        num[i] += r
+                elif kind == 2:  # unrelated dividend
+                    num = _random_dense(rng, len(num))
+                cases.append((num, den))
+            # len(num) < len(den)
+            if len(den) > 1:
+                cases.append((_random_dense(rng, rng.randint(1, len(den) - 1)), den))
+        # a leading coefficient that stops the division at the first, a
+        # middle and the last quotient step
+        failed_at = {"first": 0, "middle": 0, "last": 0}
+        for _ in range(30):
+            den = _random_dense(rng, rng.randint(1, 10)) + [rng.choice((2, -3, 4))]
+            quot = _random_dense(rng, rng.randint(3, 12))
+            n = len(den) - 1
+            for step, i in (("first", len(quot) - 1), ("middle", len(quot) // 2), ("last", 0)):
+                num = _mul_dense(quot, den)
+                num[i + n] += 1
+                cases.append((num, den))
+                assert _divmod_reference(num, den) is None
+                failed_at[step] += 1
+        assert len(cases) >= 500
+        assert min(failed_at.values()) >= 30
+        outcomes = {"None": 0, "exact": 0, "remainder": 0}
+        for num, den in cases:
+            expected = _divmod_reference(num, den)
+            assert _divmod_dense(num, den) == expected, (num, den)
+            if expected is None:
+                outcomes["None"] += 1
+            else:
+                outcomes["remainder" if any(expected[1]) else "exact"] += 1
+        assert min(outcomes.values()) >= 50
 
 
 class TestCyclotomic:

@@ -63,3 +63,12 @@ def test_det_matches_sympy():
             ]
             expected = sympy.Matrix([[to_sympy(e) for e in row] for row in rows]).det(method="berkowitz")
             assert laurent_det(rows) == from_sympy(expected, 2 * n)
+
+
+def test_gcd_of_tall_fox_entries_matches_sympy():
+    # the two Fox entries of x^e y^-(e+1), up to units: sparse, degree ~e^2
+    for e in (10, 25, 40, 60):
+        fx = LaurentPoly([((e + 1) * i, 1) for i in range(e)])
+        fy = LaurentPoly([(e * i, 1) for i in range(e + 1)])
+        expected = sympy.gcd(to_sympy(fx), to_sympy(fy))
+        assert laurent_gcd([fx, fy]) == from_sympy(expected, 0).canonical(), e
