@@ -22,6 +22,7 @@ from .constructions import (
     InvalidP,
     MismatchError,
     distinctness_certificate,
+    distinctness_certificates,
     double_presentation,
     fold_images,
     gamma_artifacts,
@@ -39,13 +40,8 @@ from .fileformat import (
     parse_word,
     presentation_to_text,
 )
-from .fox import (
-    NotInfiniteCyclicAbelianization,
-    alexander_matrix,
-    alexander_polynomial,
-    elementary_ideal,
-)
-from .laurent import LaurentPoly, laurent_gcd
+from .fox import NotInfiniteCyclicAbelianization, alexander_polynomial
+from .laurent import LaurentPoly
 from .presentations import abelianization, add_relator
 from .torus import (
     BadParams,
@@ -90,8 +86,9 @@ def poly_from_json(obj: dict) -> LaurentPoly:
     )
 
 
-def emit_certificate_json(cert: DistinctnessCertificate) -> str:
-    payload = {
+def certificate_payload(cert: DistinctnessCertificate) -> dict:
+    """The schema-1 JSON object of a certificate, before serialization."""
+    return {
         "schema_version": 1,
         "p": cert.p,
         "k": cert.k,
@@ -106,7 +103,10 @@ def emit_certificate_json(cert: DistinctnessCertificate) -> str:
             "phi": poly_to_json(cert.phi),
         },
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def emit_certificate_json(cert: DistinctnessCertificate) -> str:
+    return json.dumps(certificate_payload(cert), sort_keys=True, indent=2)
 
 
 def parse_certificate_json(text: str) -> DistinctnessCertificate:
@@ -184,18 +184,10 @@ def _cmd_distinct(args, out) -> int:
 def _cmd_distinct_range(args, out) -> int:
     if args.min < 1 or args.max < args.min:
         raise BadPair(f"need 1 <= min <= max, got ({args.min}, {args.max})")
-    certs = [
-        distinctness_certificate(p, k)
-        for p in range(args.min, args.max + 1)
-        for k in range(p + 1, args.max + 1)
-    ]
+    certs = distinctness_certificates(args.min, args.max)
     if args.json:
         out.write(
-            json.dumps(
-                [json.loads(emit_certificate_json(c)) for c in certs],
-                sort_keys=True,
-                indent=2,
-            )
+            json.dumps([certificate_payload(c) for c in certs], sort_keys=True, indent=2)
             + "\n"
         )
     else:
@@ -211,36 +203,22 @@ def _cmd_distinct_range(args, out) -> int:
 
 def _cmd_gamma(args, out) -> int:
     art = gamma_artifacts(args.p)
-    ab = abelianization(art.presentation)
-    tab_ab = abelianization(art.tab_presentation)
-    fox_tab = elementary_ideal(
-        alexander_matrix(art.tab_presentation, tab_ab.degree_map), 1
-    )
-    fox_gamma = elementary_ideal(
-        alexander_matrix(art.presentation, ab.degree_map), 1
-    )
-    tab_matches = set(g.items() for g in fox_tab.gens) == set(
-        g.items() for g in art.order_ideal.gens
-    )
-    gamma_gcd = (
-        laurent_gcd(fox_gamma.gens) if fox_gamma.gens else LaurentPoly.zero()
-    )
     if args.json:
         payload = {
             "p": art.p,
             "presentation": presentation_to_text(art.presentation),
             "tab_presentation": presentation_to_text(art.tab_presentation),
-            "degree_map": ab.degree_map,
+            "degree_map": art.degree_map,
             "annihilator": poly_to_json(art.p_poly),
             "module_relations": [
                 [poly_to_json(art.module_presentation.relations.entry(i, j)) for j in range(2)]
                 for i in range(3)
             ],
             "order_ideal": [poly_to_json(g) for g in art.order_ideal.gens],
-            "fox_ideal_tab": [poly_to_json(g) for g in fox_tab.gens],
-            "fox_ideal_gamma": [poly_to_json(g) for g in fox_gamma.gens],
-            "fox_tab_matches_order_ideal": tab_matches,
-            "fox_gamma_gcd_equals_annihilator": gamma_gcd == art.p_poly,
+            "fox_ideal_tab": [poly_to_json(g) for g in art.fox_ideal_tab.gens],
+            "fox_ideal_gamma": [poly_to_json(g) for g in art.fox_ideal_gamma.gens],
+            "fox_tab_matches_order_ideal": art.fox_tab_matches_order_ideal,
+            "fox_gamma_gcd_equals_annihilator": art.fox_gamma_gcd_equals_annihilator,
         }
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
@@ -249,7 +227,7 @@ def _cmd_gamma(args, out) -> int:
     out.write(presentation_to_text(art.presentation))
     out.write(
         "degree map: "
-        + " ".join(f"{g}={d}" for g, d in ab.degree_map.items())
+        + " ".join(f"{g}={d}" for g, d in art.degree_map.items())
         + "\n\n"
     )
     out.write("three-generator presentation (t = x y, a = t^p v, b = t^p y):\n")
@@ -269,11 +247,11 @@ def _cmd_gamma(args, out) -> int:
     out.write("\nfox-calculus cross-checks:\n")
     out.write(
         "  elementary ideal E1 of the three-generator presentation matches "
-        f"the order ideal: {_yesno(tab_matches)}\n"
+        f"the order ideal: {_yesno(art.fox_tab_matches_order_ideal)}\n"
     )
     out.write(
         "  gcd of E1 of the four-generator presentation equals the "
-        f"annihilator: {_yesno(gamma_gcd == art.p_poly)}\n"
+        f"annihilator: {_yesno(art.fox_gamma_gcd_equals_annihilator)}\n"
     )
     return 0
 

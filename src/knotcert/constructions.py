@@ -15,9 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fox import IdealGenerators, ModulePresentation, elementary_ideal
-from .laurent import LaurentMatrix, LaurentPoly, cyclotomic, divide_exact, divides
-from .presentations import Presentation
+from .fox import IdealGenerators, ModulePresentation, alexander_matrix, elementary_ideal
+from .laurent import (
+    LaurentMatrix,
+    LaurentPoly,
+    cyclotomic,
+    divide_exact,
+    divides,
+    laurent_gcd,
+)
+from .presentations import Presentation, abelianization
 from .torus import TorusKnotParams
 from .words import Word, commutator, relator_equivalent, replace_subword
 
@@ -341,32 +348,48 @@ class DistinctnessCertificate:
     phi: LaurentPoly
 
 
-def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
-    if p < 1 or p >= k:
-        raise BadPair(f"need 1 <= p < k, got ({p}, {k})")
-    phi_index = k * (k + 1)
-    phi = cyclotomic(phi_index)
-    poly_p = annihilator_poly(p)
+def _p_facts(p: int) -> tuple[LaurentPoly, bool]:
+    """The p-side facts: annihilator_poly(p), and for p = 1 whether its
+    order ideal is the unit ideal (False for every other p)."""
+    return annihilator_poly(p), p == 1 and order_ideal(p)[1].is_unit_ideal()
+
+
+def _k_facts(k: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
+    """The k-side facts: phi = cyclotomic(k(k+1)), annihilator_poly(k), and
+    whether phi divides both annihilator_poly(k) and (t-1)*annihilator_poly(k)."""
+    phi = cyclotomic(k * (k + 1))
     poly_k = annihilator_poly(k)
     t_minus_1 = LaurentPoly.t_power(1) - LaurentPoly.one()
     divides_in_k = divides(phi, poly_k) and divides(phi, (t_minus_1 * poly_k).canonical())
+    return phi, poly_k, divides_in_k
+
+
+def _certificate(
+    p: int,
+    p_facts: tuple[LaurentPoly, bool],
+    k: int,
+    k_facts: tuple[LaurentPoly, LaurentPoly, bool],
+) -> DistinctnessCertificate:
+    # The one place the mode and validity rules live; the only per-pair
+    # division is phi | annihilator_poly(p).
+    poly_p, p_ideal_is_unit = p_facts
+    phi, poly_k, divides_in_k = k_facts
     divides_in_p = divides(phi, poly_p)
     if p >= 2:
         mode = "cyclotomic"
         valid = divides_in_k and not divides_in_p
     else:
         mode = "unit_ideal"
-        ideal_p = order_ideal(p)[1]
         ideal_k = order_ideal(k)[1]
         proper_certified = not ideal_k.is_unit_ideal() and all(
             divides(phi, g) for g in ideal_k.gens
         )
-        valid = ideal_p.is_unit_ideal() and proper_certified
+        valid = p_ideal_is_unit and proper_certified
     return DistinctnessCertificate(
         p=p,
         k=k,
         mode=mode,
-        phi_index=phi_index,
+        phi_index=k * (k + 1),
         divides_in_k=divides_in_k,
         divides_in_p=divides_in_p,
         valid=valid,
@@ -376,31 +399,92 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     )
 
 
+def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
+    """The certificate separating the groups for the pair 1 <= p < k.
+
+    Computes the k-side facts (phi = cyclotomic(k(k+1)), annihilator_poly(k)
+    and the two divisions behind divides_in_k) and the p-side facts
+    (annihilator_poly(p), plus the order ideal when p = 1) for this one
+    pair; a sweep over many pairs should use distinctness_certificates.
+
+    >>> cert = distinctness_certificate(2, 3)
+    >>> cert.mode, cert.phi_index, cert.divides_in_k, cert.divides_in_p, cert.valid
+    ('cyclotomic', 12, True, False, True)
+    """
+    if p < 1 or p >= k:
+        raise BadPair(f"need 1 <= p < k, got ({p}, {k})")
+    return _certificate(p, _p_facts(p), k, _k_facts(k))
+
+
+def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]:
+    """The certificates for every pair lo <= p < k <= hi, in (p, k) order,
+    each equal to distinctness_certificate(p, k).
+
+    The k-side facts are computed once per k and the p-side facts once per
+    p, so each pair costs the single division phi | annihilator_poly(p).
+    For p = 1 the order ideal of each k is built once, with that k's
+    only p = 1 pair.  Nothing is kept after the call returns.
+
+    >>> [(c.p, c.k, c.mode) for c in distinctness_certificates(1, 3)]
+    [(1, 2, 'unit_ideal'), (1, 3, 'unit_ideal'), (2, 3, 'cyclotomic')]
+    """
+    if lo < 1:
+        raise BadPair(f"need 1 <= lo, got {lo}")
+    k_facts = {k: _k_facts(k) for k in range(lo + 1, hi + 1)}
+    certs = []
+    for p in range(lo, hi):
+        p_facts = _p_facts(p)
+        certs.extend(_certificate(p, p_facts, k, k_facts[k]) for k in range(p + 1, hi + 1))
+    return certs
+
+
 @dataclass(frozen=True)
 class GammaArtifacts:
-    """Everything the pipeline derives for one parameter p."""
+    """Everything the pipeline derives for one parameter p, with the two
+    Fox-calculus cross-checks on full minors: E1 of tab_presentation is
+    the order ideal generator for generator, and the gcd of E1 of
+    presentation is the annihilator polynomial."""
 
     p: int
     presentation: Presentation
     tab_presentation: Presentation
+    degree_map: dict[str, int]
     p_poly: LaurentPoly
     module_presentation: ModulePresentation
     order_ideal: IdealGenerators
+    fox_ideal_tab: IdealGenerators
+    fox_ideal_gamma: IdealGenerators
+    fox_tab_matches_order_ideal: bool
+    fox_gamma_gcd_equals_annihilator: bool
 
 
 def gamma_artifacts(p: int) -> GammaArtifacts:
     """Bundle the group, its rewriting, the annihilator polynomial (both
-    displayed forms are checked against each other) and the order ideal."""
+    displayed forms are checked against each other), the order ideal and
+    the Fox-calculus cross-checks."""
     poly = annihilator_poly(p, "sum")
     closed = annihilator_poly(p, "closed")
     if poly != closed:
         raise MismatchError(f"annihilator forms disagree at p={p}: {poly} vs {closed}")
     module, ideal = order_ideal(p)
+    presentation = gamma_presentation(p)
+    tab_presentation = gamma_tab_presentation(p)
+    degree_map = abelianization(presentation).degree_map
+    fox_tab = elementary_ideal(
+        alexander_matrix(tab_presentation, abelianization(tab_presentation).degree_map), 1
+    )
+    fox_gamma = elementary_ideal(alexander_matrix(presentation, degree_map), 1)
+    gamma_gcd = laurent_gcd(fox_gamma.gens) if fox_gamma.gens else LaurentPoly.zero()
     return GammaArtifacts(
         p=p,
-        presentation=gamma_presentation(p),
-        tab_presentation=gamma_tab_presentation(p),
+        presentation=presentation,
+        tab_presentation=tab_presentation,
+        degree_map=degree_map,
         p_poly=poly,
         module_presentation=module,
         order_ideal=ideal,
+        fox_ideal_tab=fox_tab,
+        fox_ideal_gamma=fox_gamma,
+        fox_tab_matches_order_ideal=set(fox_tab.gens) == set(ideal.gens),
+        fox_gamma_gcd_equals_annihilator=gamma_gcd == poly,
     )

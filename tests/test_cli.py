@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -86,6 +87,17 @@ class TestGolden:
             path = tmp_path / f"{form}-{p}.txt"
             path.write_text(text, encoding="utf-8")
             assert capture(["alexander", "--file", str(path)]) == (0, line + "\n")
+
+    def test_distinct_range_stdout_hash(self):
+        # sha256 of the stdout of the per-pair implementation, which
+        # recomputed the k-side facts for every pair.
+        for extra, digest in (
+            ([], "d5e8bdc706327eb96168f8e9ebad6ec8a9966095639787f14807b7398eccaffe"),
+            (["--json"], "cbc5211d51b59d9f181cd09e5f8ddb6e03cb6e65e972055211a0b334b0333783"),
+        ):
+            code, text = capture(["distinct-range", "--min", "1", "--max", "19"] + extra)
+            assert code == 0
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_verify_tau_verdicts(self):
         for p in range(2, 6):

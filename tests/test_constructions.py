@@ -1,11 +1,17 @@
+import dataclasses
+import io
+import math
+
 import pytest
 
+from knotcert import cli, constructions
 from knotcert.constructions import (
     BadPair,
     InvalidP,
     annihilator_poly,
     derive_gamma_consistency,
     distinctness_certificate,
+    distinctness_certificates,
     double_presentation,
     gamma_artifacts,
     gamma_presentation,
@@ -277,6 +283,41 @@ class TestDistinctness:
             assert all(divides(phi, g) for g in ideal.gens)
 
 
+class TestDistinctnessSweep:
+    @pytest.fixture(scope="class")
+    def singles(self):
+        return {
+            (p, k): distinctness_certificate(p, k)
+            for p in range(1, 25)
+            for k in range(p + 1, 26)
+        }
+
+    def test_sweep_equals_single_pairs(self, singles):
+        ranges = [(lo, hi) for lo in range(1, 15) for hi in range(lo, 15)]
+        for lo, hi in ranges + [(1, 25), (7, 25)]:
+            expected = [singles[p, k] for p in range(lo, hi + 1) for k in range(p + 1, hi + 1)]
+            got = distinctness_certificates(lo, hi)
+            assert len(got) == len(expected) == math.comb(hi - lo + 1, 2)
+            for g, e in zip(got, expected):
+                for field in dataclasses.fields(e):
+                    assert getattr(g, field.name) == getattr(e, field.name), (lo, hi, g.p, g.k, field.name)
+
+    def test_bad_range(self):
+        with pytest.raises(BadPair):
+            distinctness_certificates(0, 3)
+
+    def test_one_division_per_pair(self, monkeypatch):
+        # C(m, 2) pair divisions, plus per k the two k-side divisions and
+        # phi | g for the two order-ideal generators of its p = 1 pair.
+        calls = []
+        real = constructions.divides
+        monkeypatch.setattr(constructions, "divides", lambda g, f: calls.append(g) or real(g, f))
+        for m in (1, 2, 3, 8, 19):
+            calls.clear()
+            assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
+            assert len(calls) == math.comb(m, 2) + 4 * (m - 1), m
+
+
 class TestSeamQuotient:
     def test_alexander_becomes_trivial(self):
         for p in range(2, 6):
@@ -294,3 +335,17 @@ class TestArtifacts:
         assert art.p_poly == annihilator_poly(2)
         assert art.order_ideal == order_ideal(2)[1]
         assert art.order_ideal == elementary_ideal(art.module_presentation.relations, 0)
+
+    def test_fox_cross_checks(self):
+        for p in range(1, 6):
+            art = gamma_artifacts(p)
+            assert art.degree_map == abelianization(art.presentation).degree_map
+            tab_degrees = abelianization(art.tab_presentation).degree_map
+            assert art.fox_ideal_tab == elementary_ideal(
+                alexander_matrix(art.tab_presentation, tab_degrees), 1
+            )
+            assert art.fox_ideal_gamma == elementary_ideal(
+                alexander_matrix(art.presentation, art.degree_map), 1
+            )
+            assert art.fox_tab_matches_order_ideal
+            assert art.fox_gamma_gcd_equals_annihilator

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from knotcert import laurent
 from knotcert.laurent import (
     AllZero,
     DivisionByZero,
@@ -11,6 +12,7 @@ from knotcert.laurent import (
     NotDivisible,
     SizeTooLarge,
     _divmod_dense,
+    bareiss_det,
     cyclotomic,
     divide_exact,
     divides,
@@ -326,6 +328,44 @@ class TestMinorsAndDet:
                 for _ in range(5)
             ]
             assert laurent_det([row[:] for row in rows]) == cofactor_det(rows)
+
+    def test_first_step_makes_no_division(self):
+        # L U with L unit lower triangular and U upper triangular with a
+        # nonzero diagonal has nonzero Bareiss pivots and det = prod diag(U).
+        # Only steps k >= 1 divide, (n - 1 - k)^2 calls each; n = 0 returns
+        # before any step.
+        rng = random.Random(17)
+        for n in range(7):
+            for _ in range(5):
+                L = [[1 if i == j else (rng.randint(-4, 4) if j < i else 0) for j in range(n)]
+                     for i in range(n)]
+                U = [[rng.choice((-3, -2, -1, 1, 2, 3)) if i == j else (rng.randint(-4, 4) if j > i else 0)
+                      for j in range(n)] for i in range(n)]
+                A = [[sum(L[i][r] * U[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+                calls = []
+
+                def spy(a, b):
+                    calls.append(b)
+                    assert a % b == 0
+                    return a // b
+
+                det = 1
+                for i in range(n):
+                    det *= U[i][i]
+                assert bareiss_det(A, 1, spy) == det
+                assert len(calls) == ((n - 2) * (n - 1) * (2 * n - 3) // 6 if n else 0)
+
+    def test_two_by_two_minors_make_no_division(self, monkeypatch):
+        calls = []
+        real = laurent.divide_exact
+        monkeypatch.setattr(laurent, "divide_exact", lambda a, b: calls.append(b) or real(a, b))
+        pp = poly({2: 1, 1: -1, 0: 1})
+        one_minus_t = ONE - T
+        m = LaurentMatrix(
+            3, 2, [pp, LaurentPoly.zero(), LaurentPoly.zero(), pp, one_minus_t, -one_minus_t]
+        )
+        assert minors(m, 2) == [(pp * pp).canonical(), (one_minus_t * pp).canonical()]
+        assert calls == []
 
     def test_order_ideal_shape_matrix(self):
         pp = poly({2: 1, 1: -1, 0: 1})
