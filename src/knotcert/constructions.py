@@ -356,12 +356,12 @@ def _p_facts(p: int) -> tuple[LaurentPoly, bool]:
 
 def _k_facts(k: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
     """The k-side facts: phi = cyclotomic(k(k+1)), annihilator_poly(k), and
-    whether phi divides both annihilator_poly(k) and (t-1)*annihilator_poly(k)."""
+    whether phi divides annihilator_poly(k).  Then phi divides both order
+    ideal generators of k, annihilator_poly(k)^2 and (t-1)*annihilator_poly(k),
+    or neither: phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1)."""
     phi = cyclotomic(k * (k + 1))
     poly_k = annihilator_poly(k)
-    t_minus_1 = LaurentPoly.t_power(1) - LaurentPoly.one()
-    divides_in_k = divides(phi, poly_k) and divides(phi, (t_minus_1 * poly_k).canonical())
-    return phi, poly_k, divides_in_k
+    return phi, poly_k, divides(phi, poly_k)
 
 
 def _certificate(
@@ -379,12 +379,9 @@ def _certificate(
         mode = "cyclotomic"
         valid = divides_in_k and not divides_in_p
     else:
+        # phi is not a unit, so divides_in_k makes the order ideal of k proper
         mode = "unit_ideal"
-        ideal_k = order_ideal(k)[1]
-        proper_certified = not ideal_k.is_unit_ideal() and all(
-            divides(phi, g) for g in ideal_k.gens
-        )
-        valid = p_ideal_is_unit and proper_certified
+        valid = p_ideal_is_unit and divides_in_k
     return DistinctnessCertificate(
         p=p,
         k=k,
@@ -403,7 +400,7 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     """The certificate separating the groups for the pair 1 <= p < k.
 
     Computes the k-side facts (phi = cyclotomic(k(k+1)), annihilator_poly(k)
-    and the two divisions behind divides_in_k) and the p-side facts
+    and the division behind divides_in_k) and the p-side facts
     (annihilator_poly(p), plus the order ideal when p = 1) for this one
     pair; a sweep over many pairs should use distinctness_certificates.
 
@@ -418,18 +415,18 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
 
 def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]:
     """The certificates for every pair lo <= p < k <= hi, in (p, k) order,
-    each equal to distinctness_certificate(p, k).
+    each equal to distinctness_certificate(p, k); BadPair unless
+    1 <= lo <= hi.
 
     The k-side facts are computed once per k and the p-side facts once per
     p, so each pair costs the single division phi | annihilator_poly(p).
-    For p = 1 the order ideal of each k is built once, with that k's
-    only p = 1 pair.  Nothing is kept after the call returns.
+    Nothing is kept after the call returns.
 
     >>> [(c.p, c.k, c.mode) for c in distinctness_certificates(1, 3)]
     [(1, 2, 'unit_ideal'), (1, 3, 'unit_ideal'), (2, 3, 'cyclotomic')]
     """
-    if lo < 1:
-        raise BadPair(f"need 1 <= lo, got {lo}")
+    if lo < 1 or hi < lo:
+        raise BadPair(f"need 1 <= min <= max, got ({lo}, {hi})")
     k_facts = {k: _k_facts(k) for k in range(lo + 1, hi + 1)}
     certs = []
     for p in range(lo, hi):

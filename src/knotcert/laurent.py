@@ -15,6 +15,8 @@ nonzero terms, so the sparse torus-knot and cyclotomic divisors are cheap
 however wide their degree span.
 :func:`bareiss_det` is the only fraction-free elimination: it serves
 :func:`laurent_det` here and ``IntMatrix.det`` over the integers.
+:func:`cyclotomic` is a Moebius product of sparse binomials; nothing in this
+module is cached.
 """
 
 from __future__ import annotations
@@ -273,29 +275,30 @@ def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
     return qr is not None and not any(qr[1])
 
 
-_cyclotomic_cache: dict[int, LaurentPoly] = {}
-
-
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, the minimal polynomial of a
     primitive n-th root of unity.
 
-    Computed by exact division of t^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.  Over Z, a primitive n-th root of unity is a
-    root of f exactly when cyclotomic(n) divides f.
+    Computed as the Moebius product of (t^d - 1)^mu(n/d) over d | n (Arnold
+    and Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
+    2011), with no cache.  Over Z, a primitive n-th root of unity is a root
+    of f exactly when cyclotomic(n) divides f.
 
     >>> str(cyclotomic(12))
     '1 - t^2 + t^4'
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidIndex(f"cyclotomic index must be a positive integer, got {n!r}")
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
-    poly = LaurentPoly({n: 1, 0: -1})
-    for d in range(1, n):
-        if n % d == 0:
-            poly = divide_exact(poly, cyclotomic(d))
-    _cyclotomic_cache[n] = poly
+    primes = []
+    for q in range(2, n + 1):
+        if n % q == 0 and all(q % r for r in primes):
+            primes.append(q)
+    poly = LaurentPoly.one()
+    for odd in (0, 1):  # mu = +1 first, so each mu = -1 division is exact
+        for r in range(odd, len(primes) + 1, 2):
+            for qs in itertools.combinations(primes, r):
+                binomial = LaurentPoly({n // math.prod(qs): 1, 0: -1})
+                poly = divide_exact(poly, binomial) if odd else poly * binomial
     return poly
 
 

@@ -241,6 +241,7 @@ class TestVerbs:
         assert capture(["distinct", "--p", "2"])[0] == 2
         assert capture(["gamma", "--p", "0"])[0] == 2
         assert capture(["verify-tau", "--p", "1"])[0] == 2
+        assert capture(["distinct-range", "--min", "5", "--max", "3"]) == (2, "")
 
     def test_determinism(self):
         for argv in (

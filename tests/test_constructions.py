@@ -208,15 +208,22 @@ class TestAnnihilatorPoly:
             annihilator_poly(2, "open")
 
 
+@pytest.fixture(scope="module")
+def order_ideals():
+    return {p: order_ideal(p)[1] for p in range(1, 41)}
+
+
 class TestOrderIdeal:
-    def test_p2(self):
-        pp = annihilator_poly(2)
+    def test_p2(self, order_ideals):
+        # the generators are exactly pp^2 and (t-1) pp for every p >= 2;
+        # the certificates' divides_in_k relies on this shape
         t_minus_1 = LaurentPoly.t_power(1) - ONE
-        _, ideal = order_ideal(2)
-        assert ideal.gens == (
-            (pp * pp).canonical(),
-            (t_minus_1 * pp).canonical(),
-        )
+        for p in range(2, 41):
+            pp = annihilator_poly(p)
+            assert order_ideals[p].gens == (
+                (pp * pp).canonical(),
+                (t_minus_1 * pp).canonical(),
+            ), p
 
     def test_p1_unit(self):
         _, ideal = order_ideal(1)
@@ -276,6 +283,25 @@ class TestDistinctness:
         with pytest.raises(BadPair):
             distinctness_certificate(0, 3)
 
+    def test_matches_order_ideal_rule(self, order_ideals):
+        # Oracle for the one-division rule: the p = 1 certificate used to
+        # rebuild the order ideal of k and check phi against each generator,
+        # and divides_in_k used to also divide (t-1) pp_k.
+        t_minus_1 = LaurentPoly.t_power(1) - ONE
+        certs = {(c.p, c.k): c for c in distinctness_certificates(1, 40)}
+        for k in range(2, 41):
+            phi, pp = cyclotomic(k * (k + 1)), annihilator_poly(k)
+            ideal = order_ideals[k]
+            old_unit_rule = (
+                order_ideals[1].is_unit_ideal()
+                and not ideal.is_unit_ideal()
+                and all(divides(phi, g) for g in ideal.gens)
+            )
+            old_divides_in_k = divides(phi, pp) and divides(phi, (t_minus_1 * pp).canonical())
+            assert certs[1, k].valid == old_unit_rule, k
+            for p in range(1, k):
+                assert certs[p, k].divides_in_k == old_divides_in_k, (p, k)
+
     def test_cyclotomic_divides_own_order_ideal(self):
         for p in range(2, 13):
             phi = cyclotomic(p * (p + 1))
@@ -305,17 +331,20 @@ class TestDistinctnessSweep:
     def test_bad_range(self):
         with pytest.raises(BadPair):
             distinctness_certificates(0, 3)
+        with pytest.raises(BadPair):
+            distinctness_certificates(5, 3)
+        assert distinctness_certificates(3, 3) == []
 
     def test_one_division_per_pair(self, monkeypatch):
-        # C(m, 2) pair divisions, plus per k the two k-side divisions and
-        # phi | g for the two order-ideal generators of its p = 1 pair.
+        # C(m, 2) pair divisions plus one k-side division per k; the p = 1
+        # pairs add none.
         calls = []
         real = constructions.divides
         monkeypatch.setattr(constructions, "divides", lambda g, f: calls.append(g) or real(g, f))
         for m in (1, 2, 3, 8, 19):
             calls.clear()
             assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            assert len(calls) == math.comb(m, 2) + 4 * (m - 1), m
+            assert len(calls) == math.comb(m, 2) + (m - 1), m
 
 
 class TestSeamQuotient:

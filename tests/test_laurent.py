@@ -241,6 +241,18 @@ class TestDivisionKernel:
         assert min(outcomes.values()) >= 50
 
 
+def _cyclotomic_by_division(n, table):
+    # Reference route: t^n - 1 divided by Phi_d for every proper divisor d,
+    # each built the same way.  table holds the Phi_d of one test only.
+    if n not in table:
+        poly = LaurentPoly({n: 1, 0: -1})
+        for d in range(n - 1, 0, -1):
+            if n % d == 0:
+                poly = divide_exact(poly, _cyclotomic_by_division(d, table))
+        table[n] = poly
+    return table[n]
+
+
 class TestCyclotomic:
     def test_first_two(self):
         assert cyclotomic(1) == T - ONE
@@ -262,6 +274,21 @@ class TestCyclotomic:
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == poly({n: 1, 0: -1}), n
+
+    def test_matches_division_route(self):
+        table = {}
+        for n in list(range(1, 401)) + [k * (k + 1) for k in range(1, 61)]:
+            assert cyclotomic(n) == _cyclotomic_by_division(n, table), n
+
+    def test_keeps_no_cache(self):
+        # cyclotomic recomputes on every call; the module holds no memo table
+        held = [
+            name
+            for name, value in vars(laurent).items()
+            if not name.startswith("__")
+            and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+        ]
+        assert held == []
 
 
 class TestGcd:
