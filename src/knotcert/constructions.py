@@ -14,14 +14,15 @@ cyclotomic divisibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .fox import IdealGenerators, ModulePresentation, alexander_matrix, elementary_ideal
 from .laurent import (
     LaurentMatrix,
     LaurentPoly,
     cyclotomic,
+    cyclotomic_divisor_test,
     divide_exact,
-    divides,
     laurent_gcd,
 )
 from .presentations import Presentation, abelianization
@@ -348,33 +349,36 @@ class DistinctnessCertificate:
     phi: LaurentPoly
 
 
-def _p_facts(p: int) -> tuple[LaurentPoly, bool]:
-    """The p-side facts: annihilator_poly(p), and for p = 1 whether its
-    order ideal is the unit ideal (False for every other p)."""
-    return annihilator_poly(p), p == 1 and order_ideal(p)[1].is_unit_ideal()
+def _p_facts(p: int, poly_p: LaurentPoly) -> tuple[LaurentPoly, bool]:
+    """The p-side facts: poly_p = annihilator_poly(p), and for p = 1
+    whether its order ideal is the unit ideal (False for every other p)."""
+    return poly_p, p == 1 and order_ideal(p)[1].is_unit_ideal()
 
 
-def _k_facts(k: int) -> tuple[LaurentPoly, LaurentPoly, bool]:
-    """The k-side facts: phi = cyclotomic(k(k+1)), annihilator_poly(k), and
-    whether phi divides annihilator_poly(k).  Then phi divides both order
-    ideal generators of k, annihilator_poly(k)^2 and (t-1)*annihilator_poly(k),
-    or neither: phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1)."""
-    phi = cyclotomic(k * (k + 1))
-    poly_k = annihilator_poly(k)
-    return phi, poly_k, divides(phi, poly_k)
+def _k_facts(
+    k: int, poly_k: LaurentPoly
+) -> tuple[LaurentPoly, LaurentPoly, bool, Callable[[LaurentPoly], bool]]:
+    """The k-side facts for poly_k = annihilator_poly(k): phi =
+    cyclotomic(k(k+1)), poly_k, whether phi divides poly_k, and the fold
+    test that decides phi | f for the pairs of this k.  Then phi divides
+    both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or
+    neither: phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1)."""
+    n = k * (k + 1)
+    in_phi = cyclotomic_divisor_test(n)
+    return cyclotomic(n), poly_k, in_phi(poly_k), in_phi
 
 
 def _certificate(
     p: int,
     p_facts: tuple[LaurentPoly, bool],
     k: int,
-    k_facts: tuple[LaurentPoly, LaurentPoly, bool],
+    k_facts: tuple[LaurentPoly, LaurentPoly, bool, Callable[[LaurentPoly], bool]],
 ) -> DistinctnessCertificate:
     # The one place the mode and validity rules live; the only per-pair
-    # division is phi | annihilator_poly(p).
+    # work is the fold test for phi | annihilator_poly(p).
     poly_p, p_ideal_is_unit = p_facts
-    phi, poly_k, divides_in_k = k_facts
-    divides_in_p = divides(phi, poly_p)
+    phi, poly_k, divides_in_k, in_phi = k_facts
+    divides_in_p = in_phi(poly_p)
     if p >= 2:
         mode = "cyclotomic"
         valid = divides_in_k and not divides_in_p
@@ -400,7 +404,7 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     """The certificate separating the groups for the pair 1 <= p < k.
 
     Computes the k-side facts (phi = cyclotomic(k(k+1)), annihilator_poly(k)
-    and the division behind divides_in_k) and the p-side facts
+    and the fold test behind divides_in_k) and the p-side facts
     (annihilator_poly(p), plus the order ideal when p = 1) for this one
     pair; a sweep over many pairs should use distinctness_certificates.
 
@@ -410,7 +414,9 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     """
     if p < 1 or p >= k:
         raise BadPair(f"need 1 <= p < k, got ({p}, {k})")
-    return _certificate(p, _p_facts(p), k, _k_facts(k))
+    return _certificate(
+        p, _p_facts(p, annihilator_poly(p)), k, _k_facts(k, annihilator_poly(k))
+    )
 
 
 def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]:
@@ -418,8 +424,9 @@ def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]
     each equal to distinctness_certificate(p, k); BadPair unless
     1 <= lo <= hi.
 
-    The k-side facts are computed once per k and the p-side facts once per
-    p, so each pair costs the single division phi | annihilator_poly(p).
+    annihilator_poly(j) is computed once for each lo <= j <= hi, the k-side
+    facts (phi and its fold test) once per k and the p-side facts once per
+    p, so each pair costs one fold test for phi | annihilator_poly(p).
     Nothing is kept after the call returns.
 
     >>> [(c.p, c.k, c.mode) for c in distinctness_certificates(1, 3)]
@@ -427,10 +434,11 @@ def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]
     """
     if lo < 1 or hi < lo:
         raise BadPair(f"need 1 <= min <= max, got ({lo}, {hi})")
-    k_facts = {k: _k_facts(k) for k in range(lo + 1, hi + 1)}
+    polys = {j: annihilator_poly(j) for j in range(lo, hi + 1)}
+    k_facts = {k: _k_facts(k, polys[k]) for k in range(lo + 1, hi + 1)}
     certs = []
     for p in range(lo, hi):
-        p_facts = _p_facts(p)
+        p_facts = _p_facts(p, polys[p])
         certs.extend(_certificate(p, p_facts, k, k_facts[k]) for k in range(p + 1, hi + 1))
     return certs
 

@@ -7,16 +7,18 @@ anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 "up to units" is decided by comparing canonical forms (see
 :meth:`LaurentPoly.canonical`).
 
-Two kernels carry the heavy work.  :func:`_divmod_dense` is the only
+Three kernels carry the heavy work.  :func:`_divmod_dense` is the only
 polynomial long-division loop: :func:`divide_exact`, :func:`divides` and
 the pseudo-remainders of :func:`laurent_gcd` all go through it.  It costs
 len(quot)*nnz(den) coefficient operations, where nnz counts the divisor's
-nonzero terms, so the sparse torus-knot and cyclotomic divisors are cheap
-however wide their degree span.
+nonzero terms, so sparse torus-knot divisors are cheap however wide their
+degree span.
 :func:`bareiss_det` is the only fraction-free elimination: it serves
 :func:`laurent_det` here and ``IntMatrix.det`` over the integers.
-:func:`cyclotomic` is a Moebius product of sparse binomials; nothing in this
-module is cached.
+:func:`cyclotomic_divisor_test` decides whether cyclotomic(n) divides a
+polynomial by folding its exponents mod n, without dividing.
+:func:`cyclotomic` is a Moebius product of binomials 1 - t^d, run on a
+dense series truncated at degree phi(n); nothing in this module is cached.
 """
 
 from __future__ import annotations
@@ -275,31 +277,106 @@ def divides(g: LaurentPoly, f: LaurentPoly) -> bool:
     return qr is not None and not any(qr[1])
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division up to
+    sqrt(n).
+
+    >>> _prime_factors(57840)
+    [2, 3, 5, 241]
+    """
+    primes = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _check_index(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InvalidIndex(f"cyclotomic index must be a positive integer, got {n!r}")
+
+
 def cyclotomic(n: int) -> LaurentPoly:
     """The n-th cyclotomic polynomial, the minimal polynomial of a
     primitive n-th root of unity.
 
-    Computed as the Moebius product of (t^d - 1)^mu(n/d) over d | n (Arnold
-    and Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
-    2011), with no cache.  Over Z, a primitive n-th root of unity is a root
-    of f exactly when cyclotomic(n) divides f.
+    Computed as the Moebius product of (1 - t^d)^mu(n/d) over the d | n
+    with n/d squarefree (Arnold and Monagan, "Calculating cyclotomic
+    polynomials", Math. Comp. 80, 2011), as a dense power series truncated
+    at degree phi(n), with no cache.  For n >= 2 the mu(n/d) sum to 0, so
+    this equals the product of (t^d - 1)^mu(n/d) with no sign fix-up.
+    Over Z, a primitive n-th root of unity is a root of f exactly when
+    cyclotomic(n) divides f; :func:`cyclotomic_divisor_test` decides that
+    without building cyclotomic(n).
 
     >>> str(cyclotomic(12))
     '1 - t^2 + t^4'
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidIndex(f"cyclotomic index must be a positive integer, got {n!r}")
-    primes = []
-    for q in range(2, n + 1):
-        if n % q == 0 and all(q % r for r in primes):
-            primes.append(q)
-    poly = LaurentPoly.one()
-    for odd in (0, 1):  # mu = +1 first, so each mu = -1 division is exact
-        for r in range(odd, len(primes) + 1, 2):
-            for qs in itertools.combinations(primes, r):
-                binomial = LaurentPoly({n // math.prod(qs): 1, 0: -1})
-                poly = divide_exact(poly, binomial) if odd else poly * binomial
-    return poly
+    _check_index(n)
+    if n == 1:
+        return LaurentPoly({1: 1, 0: -1})
+    primes = _prime_factors(n)
+    deg = n
+    for q in primes:
+        deg = deg // q * (q - 1)
+    series = [1] + [0] * deg
+    for r in range(len(primes) + 1):
+        for qs in itertools.combinations(primes, r):
+            d = n // math.prod(qs)
+            if d > deg:  # 1 - t^d = 1 mod t^(phi(n) + 1)
+                continue
+            if r % 2:  # mu = -1: divide by 1 - t^d, upward
+                for i in range(d, deg + 1):
+                    series[i] += series[i - d]
+            else:  # mu = +1: multiply by 1 - t^d, downward
+                for i in range(deg, d - 1, -1):
+                    series[i] -= series[i - d]
+    return LaurentPoly(enumerate(series))
+
+
+def cyclotomic_divisor_test(n: int) -> Callable[[LaurentPoly], bool]:
+    """The predicate f -> (cyclotomic(n) divides f in Z[t, t^-1]), decided
+    without building or dividing by cyclotomic(n).
+
+    The predicate folds the exponents of f mod n and multiplies by
+    K = prod (1 - t^(n/q)) over the primes q | n, mod t^n - 1; cyclotomic(n)
+    divides f exactly when the result is 0.  t^n - 1 is squarefree over Q
+    and is the product of the cyclotomic(d), d | n.  K vanishes at every
+    primitive d-th root of unity for d | n proper, since d divides some
+    n/q, and not at a primitive n-th root.  So by the Chinese remainder
+    theorem f*K = 0 mod t^n - 1 exactly when f vanishes at a primitive
+    n-th root, and cyclotomic(n) is monic, so by Gauss's lemma divisibility
+    over Q is divisibility over Z.  n is factored and the 2^omega(n) terms
+    of K are expanded once, here; each call then costs nnz(f)*2^omega(n)
+    dict operations.  The zero polynomial is divisible.
+
+    >>> in_phi_12 = cyclotomic_divisor_test(12)
+    >>> in_phi_12(LaurentPoly({4: 1, 2: -1, 0: 1}).shifted(-7)), in_phi_12(LaurentPoly({2: 1, 0: -1}))
+    (True, False)
+    """
+    _check_index(n)
+    kernel: dict[int, int] = {0: 1}
+    for q in _prime_factors(n):
+        for e, c in list(kernel.items()):  # times 1 - t^(n/q), mod t^n - 1
+            shifted = (e + n // q) % n
+            kernel[shifted] = kernel.get(shifted, 0) - c
+    kernel_terms = [(e, c) for e, c in kernel.items() if c]
+
+    def divides_by_folding(f: LaurentPoly) -> bool:
+        acc: dict[int, int] = {}
+        for e, c in f._coeffs.items():
+            for s, w in kernel_terms:
+                i = (e + s) % n
+                acc[i] = acc.get(i, 0) + c * w
+        return not any(acc.values())
+
+    return divides_by_folding
 
 
 def _primitive_part(f: LaurentPoly) -> LaurentPoly:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from knotcert import cli, constructions
+from knotcert import cli, constructions, laurent
 from knotcert.constructions import (
     BadPair,
     InvalidP,
@@ -335,16 +335,27 @@ class TestDistinctnessSweep:
             distinctness_certificates(5, 3)
         assert distinctness_certificates(3, 3) == []
 
-    def test_one_division_per_pair(self, monkeypatch):
-        # C(m, 2) pair divisions plus one k-side division per k; the p = 1
-        # pairs add none.
-        calls = []
-        real = constructions.divides
-        monkeypatch.setattr(constructions, "divides", lambda g, f: calls.append(g) or real(g, f))
+    def test_one_fold_test_per_pair(self, monkeypatch):
+        # One fold kernel per k; C(m, 2) pair decisions plus one k-side
+        # decision per k, and the p = 1 pairs add none.  No long division
+        # runs at all.
+        builds, decisions, divisions = [], [], []
+        real = constructions.cyclotomic_divisor_test
+        monkeypatch.setattr(laurent, "_divmod_dense", lambda num, den: divisions.append(den))
+
+        def counting_test(n):
+            builds.append(n)
+            in_phi = real(n)
+            return lambda f: decisions.append(n) or in_phi(f)
+
+        monkeypatch.setattr(constructions, "cyclotomic_divisor_test", counting_test)
         for m in (1, 2, 3, 8, 19):
-            calls.clear()
+            builds.clear()
+            decisions.clear()
             assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            assert len(calls) == math.comb(m, 2) + (m - 1), m
+            assert builds == [k * (k + 1) for k in range(2, m + 1)], m
+            assert len(decisions) == math.comb(m, 2) + (m - 1), m
+        assert divisions == []
 
 
 class TestSeamQuotient:

@@ -1,8 +1,11 @@
+import itertools
+import math
 import random
 
 import pytest
 
 from knotcert import laurent
+from knotcert.constructions import annihilator_poly
 from knotcert.laurent import (
     AllZero,
     DivisionByZero,
@@ -12,8 +15,10 @@ from knotcert.laurent import (
     NotDivisible,
     SizeTooLarge,
     _divmod_dense,
+    _prime_factors,
     bareiss_det,
     cyclotomic,
+    cyclotomic_divisor_test,
     divide_exact,
     divides,
     laurent_det,
@@ -253,6 +258,20 @@ def _cyclotomic_by_division(n, table):
     return table[n]
 
 
+def _cyclotomic_by_sparse_moebius(n):
+    # Second reference route: the Moebius product over sparse dict
+    # polynomials, multiplying every mu = +1 binomial t^d - 1 before
+    # dividing out the mu = -1 ones, so each division is exact.
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+    poly = ONE
+    for odd in (0, 1):
+        for r in range(odd, len(primes) + 1, 2):
+            for qs in itertools.combinations(primes, r):
+                binomial = LaurentPoly({n // math.prod(qs): 1, 0: -1})
+                poly = divide_exact(poly, binomial) if odd else poly * binomial
+    return poly
+
+
 class TestCyclotomic:
     def test_first_two(self):
         assert cyclotomic(1) == T - ONE
@@ -280,6 +299,15 @@ class TestCyclotomic:
         for n in list(range(1, 401)) + [k * (k + 1) for k in range(1, 61)]:
             assert cyclotomic(n) == _cyclotomic_by_division(n, table), n
 
+    def test_matches_sparse_moebius_route(self):
+        for n in list(range(1, 401)) + [k * (k + 1) for k in range(1, 61)] + [57840]:
+            assert cyclotomic(n) == _cyclotomic_by_sparse_moebius(n), n
+
+    def test_prime_factors_match_a_full_scan(self):
+        for n in range(1, 2001):
+            expected = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+            assert _prime_factors(n) == expected, n
+
     def test_keeps_no_cache(self):
         # cyclotomic recomputes on every call; the module holds no memo table
         held = [
@@ -289,6 +317,47 @@ class TestCyclotomic:
             and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
         ]
         assert held == []
+
+
+class TestCyclotomicDivisorTest:
+    def test_invalid_index(self):
+        for n in (0, -3):
+            with pytest.raises(InvalidIndex, match=f"cyclotomic index must be a positive integer, got {n}"):
+                cyclotomic_divisor_test(n)
+
+    def test_matches_division_oracle_random(self):
+        # Oracle: long division by cyclotomic(n).  Half of the cases are
+        # planted multiples of Phi_n; exponents run negative and past n.
+        rng = random.Random(29)
+        prime_powers = [2, 4, 8, 64, 128, 3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121, 13, 169, 197]
+        cases = [(n, LaurentPoly.zero()) for n in (1, 2, 12, 197)]
+        cases += [(n, LaurentPoly({0: c})) for n in (1, 2, 6) for c in (1, -2, 5)]
+        cases += [(1, poly({0: 1, 3: -1})), (1, poly({-2: 1, 5: 1})), (2, poly({-1: 1, 6: 1}))]
+        outcomes = {True: 0, False: 0}
+        for i in range(3000):
+            n = rng.choice(prime_powers) if i % 5 == 0 else rng.randint(1, 200)
+            f = random_poly(rng, max_terms=6, exp_range=(-2 * n - 3, 2 * n + 3))
+            kind = rng.randrange(4)
+            if kind == 1:
+                f = f * cyclotomic(n)
+            elif kind == 2:
+                f = (f * cyclotomic(n) * 2).shifted(rng.randint(-n, n))
+            elif kind == 3:  # a near miss: one coefficient off
+                f = f * cyclotomic(n) + LaurentPoly.t_power(rng.randint(-n, n))
+            cases.append((n, f))
+        for n, f in cases:
+            expected = divides(cyclotomic(n), f)
+            assert cyclotomic_divisor_test(n)(f) == expected, (n, f)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) >= 1000
+
+    def test_matches_division_oracle_on_annihilators(self):
+        polys = {p: annihilator_poly(p) for p in range(1, 61)}
+        for k in range(1, 61):
+            n = k * (k + 1)
+            phi, in_phi = cyclotomic(n), cyclotomic_divisor_test(n)
+            for p in range(1, k + 1):
+                assert in_phi(polys[p]) == divides(phi, polys[p]), (p, k)
 
 
 class TestGcd:
