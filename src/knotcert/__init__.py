@@ -32,7 +32,6 @@ from .constructions import (
 from .fox import (
     GroupRingElement,
     IdealGenerators,
-    ModulePresentation,
     NotInfiniteCyclicAbelianization,
     UnmappedGenerator,
     abelianize_element,
@@ -41,12 +40,11 @@ from .fox import (
     elementary_ideal,
     fox_derivative,
 )
-from .intlinalg import IntMatrix, SnfResult, smith_normal_form
+from .intlinalg import Matrix, SnfResult, smith_normal_form
 from .laurent import (
     AllZero,
     DivisionByZero,
     InvalidIndex,
-    LaurentMatrix,
     LaurentPoly,
     NotDivisible,
     SizeTooLarge,
@@ -90,13 +88,11 @@ __all__ = [
     "GammaArtifacts",
     "GroupRingElement",
     "IdealGenerators",
-    "IntMatrix",
     "InvalidIndex",
     "InvalidP",
-    "LaurentMatrix",
     "LaurentPoly",
+    "Matrix",
     "MismatchError",
-    "ModulePresentation",
     "NoDefiningRelator",
     "NotDivisible",
     "NotInfiniteCyclicAbelianization",

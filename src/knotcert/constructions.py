@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .fox import IdealGenerators, ModulePresentation, alexander_matrix, elementary_ideal
+from .fox import IdealGenerators, alexander_matrix, elementary_ideal
+from .intlinalg import Matrix
 from .laurent import (
-    LaurentMatrix,
     LaurentPoly,
     cyclotomic,
     cyclotomic_divisor_test,
@@ -304,11 +304,13 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
     raise ValueError(f"unknown form {form!r}")
 
 
-def order_ideal(p: int) -> tuple[ModulePresentation, IdealGenerators]:
-    """The Alexander module of gamma_presentation(p) and its order ideal.
+def order_ideal(p: int) -> tuple[Matrix, IdealGenerators]:
+    """The relation matrix of the Alexander module of gamma_presentation(p)
+    and its order ideal.
 
     The module is <a, b | pp(t) a = 0, pp(t) b = 0, (1-t) a - (1-t) b = 0>
-    over Z[t, t^-1] with pp = annihilator_poly(p); the order ideal is the
+    over Z[t, t^-1] with pp = annihilator_poly(p); the relation matrix is
+    3x2, one row per relation and the columns a, b.  The order ideal is the
     ideal of 2x2 minors of the relation matrix, generated by pp^2 and
     (t-1) pp (the unit ideal when p = 1, since pp(1) is the constant 1).
     """
@@ -317,11 +319,8 @@ def order_ideal(p: int) -> tuple[ModulePresentation, IdealGenerators]:
     pp = annihilator_poly(p)
     zero = LaurentPoly.zero()
     one_minus_t = LaurentPoly.one() - LaurentPoly.t_power(1)
-    relations = LaurentMatrix(
-        3, 2, [pp, zero, zero, pp, one_minus_t, -one_minus_t]
-    )
-    module = ModulePresentation(module_generators=("a", "b"), relations=relations)
-    return module, elementary_ideal(relations, 0)
+    relations = Matrix(3, 2, [pp, zero, zero, pp, one_minus_t, -one_minus_t])
+    return relations, elementary_ideal(relations, 0)
 
 
 @dataclass(frozen=True)
@@ -455,7 +454,7 @@ class GammaArtifacts:
     tab_presentation: Presentation
     degree_map: dict[str, int]
     p_poly: LaurentPoly
-    module_presentation: ModulePresentation
+    module_relations: Matrix
     order_ideal: IdealGenerators
     fox_ideal_tab: IdealGenerators
     fox_ideal_gamma: IdealGenerators
@@ -471,7 +470,7 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
     closed = annihilator_poly(p, "closed")
     if poly != closed:
         raise MismatchError(f"annihilator forms disagree at p={p}: {poly} vs {closed}")
-    module, ideal = order_ideal(p)
+    relations, ideal = order_ideal(p)
     presentation = gamma_presentation(p)
     tab_presentation = gamma_tab_presentation(p)
     degree_map = abelianization(presentation).degree_map
@@ -486,7 +485,7 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
         tab_presentation=tab_presentation,
         degree_map=degree_map,
         p_poly=poly,
-        module_presentation=module,
+        module_relations=relations,
         order_ideal=ideal,
         fox_ideal_tab=fox_tab,
         fox_ideal_gamma=fox_gamma,

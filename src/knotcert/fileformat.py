@@ -115,6 +115,5 @@ def parse_presentation(text: str) -> Presentation:
 def presentation_to_text(P: Presentation) -> str:
     lines = ["gens: " + " ".join(P.generators)]
     for r in P.relators:
-        body = str(r)
-        lines.append("rel: " + body if body else "rel:")
+        lines.append(f"rel: {r}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .laurent import LaurentMatrix, LaurentPoly, laurent_gcd, minors
+from .intlinalg import Matrix
+from .laurent import LaurentPoly, laurent_gcd, minors
 from .presentations import Presentation, abelianization
 from .words import Word
 
@@ -183,7 +184,7 @@ def fox_matrix(
     generators: Iterable[str],
     relators: Iterable[Word],
     degree_map: Mapping[str, int],
-) -> LaurentMatrix:
+) -> Matrix:
     """Abelianized Fox Jacobian, one row per relator and one column per
     generator; raises UnmappedGenerator when a relator mentions a
     generator with no degree.
@@ -193,10 +194,10 @@ def fox_matrix(
     entries = [
         LaurentPoly(terms) for r in rels for terms in _fox_row(r, column, degree_map)
     ]
-    return LaurentMatrix(len(rels), len(column), entries)
+    return Matrix(len(rels), len(column), entries)
 
 
-def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> LaurentMatrix:
+def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> Matrix:
     """Abelianized Fox Jacobian: entry (i, j) is the image of
     d(relator_i)/d(generator_j) under the degree map.
     """
@@ -233,21 +234,7 @@ class IdealGenerators:
         return not self.gens
 
 
-@dataclass(frozen=True)
-class ModulePresentation:
-    """A module over Z[t, t^-1] given by generators and a relation matrix
-    (one row per relation, one column per module generator).
-    """
-
-    module_generators: tuple[str, ...]
-    relations: LaurentMatrix
-
-    def __post_init__(self):
-        if self.relations.cols != len(self.module_generators):
-            raise ValueError("relation matrix shape does not match generators")
-
-
-def elementary_ideal(M: LaurentMatrix, k: int) -> IdealGenerators:
+def elementary_ideal(M: Matrix, k: int) -> IdealGenerators:
     """The k-th elementary (Fitting) ideal: the ideal of (n-k) x (n-k)
     minors, n = column count.  E_k for k >= n is the whole ring; when
     n - k exceeds the row count the ideal is zero.
@@ -265,7 +252,7 @@ def elementary_ideal(M: LaurentMatrix, k: int) -> IdealGenerators:
     return IdealGenerators(gens=gens)
 
 
-def _eliminate_unit_pivots(M: LaurentMatrix) -> LaurentMatrix:
+def _eliminate_unit_pivots(M: Matrix) -> Matrix:
     """Delete unit pivots +-t^k with their row and column after clearing
     their column by exact row operations; E_k is unchanged for every k.
 
@@ -287,7 +274,7 @@ def _eliminate_unit_pivots(M: LaurentMatrix) -> LaurentMatrix:
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
         if best is None:
-            return LaurentMatrix(len(grid), cols, [x for row in grid for x in row])
+            return Matrix(len(grid), cols, [x for row in grid for x in row])
         _, i, j = best
         pivot_row = grid.pop(i)
         ((k, c),) = pivot_row[j].items()

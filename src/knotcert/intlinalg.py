@@ -1,4 +1,11 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact matrices over Z and Z[t, t^-1], fraction-free determinants and
+Smith normal form.
+
+:class:`Matrix` holds the entries of one matrix over any exact ring: the
+integer exponent-sum matrices of presentations and the Fox matrices over
+Z[t, t^-1] are both Matrix instances.  :func:`bareiss_det` is the only
+fraction-free elimination: it serves ``Matrix.det`` over the integers and
+``laurent.laurent_det`` over the Laurent ring.
 
 smith_normal_form produces unimodular U, V with U*A*V = D, where D is
 diagonal with nonnegative entries d1 | d2 | ... ; D is unique.  Used to
@@ -10,49 +17,51 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
-from .laurent import bareiss_det
+T = TypeVar("T")
 
 
-class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary precision."""
+class Matrix:
+    """Immutable rows x cols matrix over an exact ring, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[int]):
+    def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(int(e) for e in entries)
+        self.entries = tuple(entries)
         if len(self.entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(self.entries)}"
             )
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
         flat = [e for row in rows for e in row]
         return cls(r, c, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
+    def identity(cls, n: int) -> "Matrix":
+        """The n x n integer identity."""
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
-    def entry(self, i: int, j: int) -> int:
+    def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
-    def row_lists(self) -> list[list[int]]:
+    def row_lists(self) -> list[list]:
         return [
             list(self.entries[i * self.cols : (i + 1) * self.cols])
             for i in range(self.rows)
         ]
 
-    def column(self, j: int) -> list[int]:
+    def column(self, j: int) -> list:
         return [self.entry(i, j) for i in range(self.rows)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def mul(self, other: "Matrix") -> "Matrix":
+        """Matrix product of two integer matrices."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = []
@@ -61,39 +70,81 @@ class IntMatrix:
                 out.append(
                     sum(self.entry(i, k) * other.entry(k, j) for k in range(self.cols))
                 )
-        return IntMatrix(self.rows, other.cols, out)
+        return Matrix(self.rows, other.cols, out)
 
-    def diagonal(self) -> list[int]:
+    def diagonal(self) -> list:
         return [self.entry(i, i) for i in range(min(self.rows, self.cols))]
 
     def det(self) -> int:
-        """Determinant by fraction-free elimination (square matrices)."""
+        """Determinant of a square integer matrix by :func:`bareiss_det`;
+        Laurent matrices use ``laurent.laurent_det``.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return bareiss_det(self.row_lists(), 1, operator.floordiv)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, IntMatrix)
+            isinstance(other, Matrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.row_lists()!r})"
+        body = "; ".join(
+            ", ".join(str(self.entry(i, j)) for j in range(self.cols))
+            for i in range(self.rows)
+        )
+        return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def bareiss_det(rows: list[list[T]], one: T, exact_div: Callable[[T, T], T]) -> T:
+    """Determinant of a square matrix over an integral domain by
+    fraction-free (Bareiss) elimination.
+
+    exact_div(a, b) must return a / b whenever b divides a; every division
+    the elimination performs is of that kind.  The first step's divisor is
+    one and is skipped, so an n x n matrix with nonzero pivots makes
+    (n-2)(n-1)(2n-3)/6 calls, none for n <= 2.  The empty matrix has
+    determinant one.
+
+    >>> bareiss_det([[2, 1], [4, 5]], 1, lambda a, b: a // b)
+    6
+    """
+    n = len(rows)
+    if n == 0:
+        return one
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            return m[k][k]  # the rest of column k is zero, and so is det
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                x = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = exact_div(x, prev) if k else x
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
 
 
 @dataclass(frozen=True)
 class SnfResult:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    U: Matrix
+    D: Matrix
+    V: Matrix
 
     def diagonal(self) -> list[int]:
         return self.D.diagonal()
 
 
-def smith_normal_form(A: IntMatrix) -> SnfResult:
+def smith_normal_form(A: Matrix) -> SnfResult:
     """Diagonalize A over Z: returns U, D, V with U*A*V = D, U and V
     unimodular, D diagonal with nonnegative entries and d_i | d_{i+1}.
 
@@ -103,8 +154,8 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
     """
     m, n = A.rows, A.cols
     D = A.row_lists()
-    U = IntMatrix.identity(m).row_lists()
-    V = IntMatrix.identity(n).row_lists()
+    U = Matrix.identity(m).row_lists()
+    V = Matrix.identity(n).row_lists()
 
     def swap_rows(i, j):
         D[i], D[j] = D[j], D[i]
@@ -181,7 +232,7 @@ def smith_normal_form(A: IntMatrix) -> SnfResult:
             negate_row(i)
 
     return SnfResult(
-        U=IntMatrix.from_rows(U) if m else IntMatrix(0, 0, []),
-        D=IntMatrix(m, n, [e for row in D for e in row]),
-        V=IntMatrix.from_rows(V) if n else IntMatrix(0, 0, []),
+        U=Matrix.from_rows(U) if m else Matrix(0, 0, []),
+        D=Matrix(m, n, [e for row in D for e in row]),
+        V=Matrix.from_rows(V) if n else Matrix(0, 0, []),
     )

@@ -1,5 +1,6 @@
 """Exact arithmetic in Z[t, t^-1]: Laurent polynomials, cyclotomic
-polynomials, gcds, and matrix minors over the Laurent ring.
+polynomials, gcds, and minors of :class:`~knotcert.intlinalg.Matrix`
+instances over the Laurent ring.
 
 A Laurent polynomial is stored sparsely as a map from integer exponent to
 integer coefficient.  All arithmetic is exact; there is no floating point
@@ -7,14 +8,14 @@ anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 "up to units" is decided by comparing canonical forms (see
 :meth:`LaurentPoly.canonical`).
 
-Three kernels carry the heavy work.  :func:`_divmod_dense` is the only
+Two kernels here carry the heavy work.  :func:`_divmod_dense` is the only
 polynomial long-division loop: :func:`divide_exact`, :func:`divides` and
 the pseudo-remainders of :func:`laurent_gcd` all go through it.  It costs
 len(quot)*nnz(den) coefficient operations, where nnz counts the divisor's
 nonzero terms, so sparse torus-knot divisors are cheap however wide their
 degree span.
-:func:`bareiss_det` is the only fraction-free elimination: it serves
-:func:`laurent_det` here and ``IntMatrix.det`` over the integers.
+The determinants of :func:`laurent_det` run through
+``intlinalg.bareiss_det``, the only fraction-free elimination.
 :func:`cyclotomic_divisor_test` decides whether cyclotomic(n) divides a
 polynomial by folding its exponents mod n, without dividing.
 :func:`cyclotomic` is a Moebius product of binomials 1 - t^d, run on a
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable
 
-T = TypeVar("T")
+from .intlinalg import Matrix, bareiss_det
 
 
 class NotDivisible(ArithmeticError):
@@ -425,79 +426,6 @@ def laurent_gcd(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     return (g * content).canonical()
 
 
-class LaurentMatrix:
-    """A rows x cols matrix of Laurent polynomials, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: Iterable[LaurentPoly]):
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(entries)
-        if len(self.entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(self.entries)}"
-            )
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[LaurentPoly]]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(str(self.entry(i, j)) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return f"LaurentMatrix({self.rows}x{self.cols}: {body})"
-
-
-def bareiss_det(rows: list[list[T]], one: T, exact_div: Callable[[T, T], T]) -> T:
-    """Determinant of a square matrix over an integral domain by
-    fraction-free (Bareiss) elimination.
-
-    exact_div(a, b) must return a / b whenever b divides a; every division
-    the elimination performs is of that kind.  The first step's divisor is
-    one and is skipped, so an n x n matrix with nonzero pivots makes
-    (n-2)(n-1)(2n-3)/6 calls, none for n <= 2.  The empty matrix has
-    determinant one.
-
-    >>> bareiss_det([[2, 1], [4, 5]], 1, lambda a, b: a // b)
-    6
-    """
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            return m[k][k]  # the rest of column k is zero, and so is det
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                x = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(x, prev) if k else x
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant over Z[t, t^-1] by :func:`bareiss_det`, so no rational
     arithmetic is needed.  The empty matrix has determinant 1.
@@ -505,7 +433,7 @@ def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return bareiss_det(rows, LaurentPoly.one(), divide_exact)
 
 
-def minors(M: LaurentMatrix, k: int) -> list[LaurentPoly]:
+def minors(M: Matrix, k: int) -> list[LaurentPoly]:
     """All k x k minor determinants of M, canonicalized, with zeros and
     duplicates removed, in lexicographic order of (row set, column set).
     """

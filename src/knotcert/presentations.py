@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .intlinalg import IntMatrix, smith_normal_form
+from .intlinalg import Matrix, smith_normal_form
 from .words import ForeignGenerator, Word, relator_equivalent
 
 
@@ -81,7 +81,7 @@ class AbelianizationResult:
         return self.free_rank == 1 and not self.torsion
 
 
-def exponent_matrix(P: Presentation) -> IntMatrix:
+def exponent_matrix(P: Presentation) -> Matrix:
     """Relator exponent sums: one row per relator, one column per generator."""
     index = {g: j for j, g in enumerate(P.generators)}
     rows = []
@@ -90,7 +90,7 @@ def exponent_matrix(P: Presentation) -> IntMatrix:
         for g, e in r.syllables:
             row[index[g]] += e
         rows.append(row)
-    return IntMatrix(len(P.relators), len(P.generators), [e for row in rows for e in row])
+    return Matrix(len(P.relators), len(P.generators), [e for row in rows for e in row])
 
 
 def add_relator(P: Presentation, w: Word) -> Presentation:

@@ -7,11 +7,12 @@ an alternating product of x-syllables with exponent in [1, p-1] and
 y-syllables with exponent in [1, q-1]; two words are equal in the group
 iff their normal forms coincide.
 
-Convention care: the presentation <x, y | x^p y^q = 1> (relator-product
-form) gives an isomorphic group via y -> y^-1.  normal_form always works
-in the amalgam form x^p = y^q; callers checking maps into the
-relator-product form pass convention="product" and the images are
-transported through that isomorphism first.
+The maps into the torus knot group are written against the
+relator-product form <x, y | x^p y^q = 1>, which is isomorphic to the
+amalgam form via y -> y^-1.  normal_form always works in the amalgam form
+x^p = y^q.  verify_homomorphism and is_in_commutator_subgroup take
+product-form words; verify_homomorphism transports them through
+product_to_amalgam before taking normal forms.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ class RelatorCheck:
 @dataclass(frozen=True)
 class HomomorphismReport:
     params: TorusKnotParams
-    convention: str
     relator_checks: tuple[RelatorCheck, ...]
     hits_x: bool
     hits_y: bool
@@ -139,93 +139,67 @@ def verify_homomorphism(
     source: Presentation,
     tk: TorusKnotParams,
     images: Mapping[str, Word],
-    convention: str = "product",
 ) -> HomomorphismReport:
     """Certify a map from a presented group to a torus knot group.
 
-    Each relator's image must have trivial normal form; that makes the
-    assignment a homomorphism.  Surjectivity is established when the image
-    set visibly contains elements equal to x and to y in the target.
-    ``convention`` names the target presentation the images are written
-    against: "product" for <x,y | x^p y^q = 1>, "amalgam" for
-    <x,y | x^p = y^q>.
+    The images are words in <x,y | x^p y^q = 1>.  Each relator's image
+    must have trivial normal form; that makes the assignment a
+    homomorphism.  Surjectivity is established when the image set visibly
+    contains elements equal to x and to y in the target.
     """
-    if convention not in ("product", "amalgam"):
-        raise ValueError(f"unknown convention {convention!r}")
     missing = set(source.generators) - set(images)
     if missing:
         raise ForeignGenerator(f"no image supplied for generator(s) {sorted(missing)}")
-    transport = product_to_amalgam if convention == "product" else (lambda w: w)
     checks = []
     for r in source.relators:
         img = apply_images(r, images)
-        nf = normal_form(tk, transport(img))
+        nf = normal_form(tk, product_to_amalgam(img))
         checks.append(
             RelatorCheck(relator=r, image=img, trivial=nf.is_trivial(), normal_form=nf)
         )
 
     def image_equals(target_word: Word) -> bool:
-        goal = normal_form(tk, transport(target_word))
+        goal = normal_form(tk, product_to_amalgam(target_word))
         return any(
-            normal_form(tk, transport(apply_images(Word.gen(g), images))) == goal
+            normal_form(tk, product_to_amalgam(apply_images(Word.gen(g), images))) == goal
             for g in source.generators
         )
 
     return HomomorphismReport(
         params=tk,
-        convention=convention,
         relator_checks=tuple(checks),
         hits_x=image_equals(Word.gen("x")),
         hits_y=image_equals(Word.gen("y")),
     )
 
 
-def is_in_commutator_subgroup(
-    tk: TorusKnotParams, w: Word, convention: str = "product"
-) -> bool:
+def is_in_commutator_subgroup(tk: TorusKnotParams, w: Word) -> bool:
     """True iff w dies in the abelianization of the torus knot group.
 
-    The abelianization is Z; for the relator-product presentation the
-    degree map is {x: q, y: -p}, for the amalgam form it is {x: q, y: p}.
+    The abelianization is Z; for the relator-product presentation
+    <x,y | x^p y^q = 1> the degree map is {x: q, y: -p}.
     """
     if tk.p < 2 or tk.q < 2:
         raise BadParams(f"need p, q >= 2, got ({tk.p}, {tk.q})")
     foreign = w.generators() - {"x", "y"}
     if foreign:
         raise ForeignGenerator(f"word uses generator(s) {sorted(foreign)}, not x, y")
-    if convention == "product":
-        degree_map = {"x": tk.q, "y": -tk.p}
-    elif convention == "amalgam":
-        degree_map = {"x": tk.q, "y": tk.p}
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return w.degree(degree_map) == 0
+    return w.degree({"x": tk.q, "y": -tk.p}) == 0
 
 
-def wirtinger_standard_images(p: int, meridian_degree: int = 1) -> dict[str, Word]:
+def wirtinger_standard_images(p: int) -> dict[str, Word]:
     """A generator dictionary from the Wirtinger-style presentation of the
     (p, p+1) torus knot onto <x, y | x^p y^(p+1) = 1>.
 
-    With meridian_degree=+1: z -> x and a_k -> x^-(k-1) (x y) x^(k-1), so
-    each meridian image has weighted degree +1 under {x: p+1, y: -p}.
-    With meridian_degree=-1 the orientation-reversed dictionary
-    z -> x^-1, a_k -> x^(k-1) (y^-1 x^-1) x^-(k-1) is returned; both are
+    z -> x and a_k -> x^-(k-1) (x y) x^(k-1), so each meridian image has
+    weighted degree +1 under {x: p+1, y: -p}; the dictionary is
     machine-verified by verify_homomorphism in the test suite.
     """
     if p < 2:
         raise BadParams(f"need p >= 2, got {p}")
-    if meridian_degree == 1:
-        images = {"z": Word.gen("x")}
-        a1 = Word.gen("x") * Word.gen("y")
-        for k in range(1, p + 1):
-            shift = Word.gen("x", -(k - 1))
-            images[f"a{k}"] = shift * a1 * shift.inverse()
-    elif meridian_degree == -1:
-        images = {"z": Word.gen("x", -1)}
-        a1 = Word.gen("y", -1) * Word.gen("x", -1)
-        for k in range(1, p + 1):
-            shift = Word.gen("x", k - 1)
-            images[f"a{k}"] = shift * a1 * shift.inverse()
-    else:
-        raise ValueError("meridian_degree must be +1 or -1")
+    images = {"z": Word.gen("x")}
+    a1 = Word.gen("x") * Word.gen("y")
+    for k in range(1, p + 1):
+        shift = Word.gen("x", -(k - 1))
+        images[f"a{k}"] = shift * a1 * shift.inverse()
     return images

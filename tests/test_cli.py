@@ -155,6 +155,11 @@ class TestVerbs:
         code, _ = capture(["alexander", "--file", str(path)])
         assert code == 2
 
+    def test_alexander_file_not_utf8_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"gens: x y\nrel: x^2 y^\xff3\n")
+        assert capture(["alexander", "--file", str(path)]) == (2, "")
+
     def test_distinct_valid(self):
         code, text = capture(["distinct", "--p", "2", "--k", "3"])
         assert code == 0

@@ -236,9 +236,8 @@ class TestOrderIdeal:
             assert laurent_gcd(ideal.gens) == annihilator_poly(p)
 
     def test_matrix_shape(self):
-        module, _ = order_ideal(3)
-        assert module.module_generators == ("a", "b")
-        assert (module.relations.rows, module.relations.cols) == (3, 2)
+        relations, _ = order_ideal(3)
+        assert (relations.rows, relations.cols) == (3, 2)
 
     def test_fox_route_reproduces_order_ideal(self):
         # E1 of the three-generator presentation equals the hand-built
@@ -374,7 +373,7 @@ class TestArtifacts:
         assert art.tab_presentation == gamma_tab_presentation(2)
         assert art.p_poly == annihilator_poly(2)
         assert art.order_ideal == order_ideal(2)[1]
-        assert art.order_ideal == elementary_ideal(art.module_presentation.relations, 0)
+        assert art.order_ideal == elementary_ideal(art.module_relations, 0)
 
     def test_fox_cross_checks(self):
         for p in range(1, 6):

@@ -22,7 +22,8 @@ from knotcert.fox import (
     fox_derivative,
     fox_matrix,
 )
-from knotcert.laurent import LaurentMatrix, LaurentPoly, divide_exact, laurent_gcd
+from knotcert.intlinalg import Matrix
+from knotcert.laurent import LaurentPoly, divide_exact, laurent_gcd
 from knotcert.presentations import (
     Presentation,
     abelianization,
@@ -155,7 +156,7 @@ class TestElementaryIdeal:
     def test_module_relation_matrix(self):
         pp = annihilator_poly(2)
         one_minus_t = ONE - LaurentPoly.t_power(1)
-        M = LaurentMatrix(
+        M = Matrix(
             3, 2, [pp, LaurentPoly.zero(), LaurentPoly.zero(), pp, one_minus_t, -one_minus_t]
         )
         ideal = elementary_ideal(M, 0)
@@ -165,7 +166,7 @@ class TestElementaryIdeal:
         )
 
     def test_k_at_column_count_is_unit_ideal(self):
-        M = LaurentMatrix(1, 2, [LaurentPoly.t_power(2), LaurentPoly.zero()])
+        M = Matrix(1, 2, [LaurentPoly.t_power(2), LaurentPoly.zero()])
         assert elementary_ideal(M, 2).gens == (ONE,)
         assert elementary_ideal(M, 5).gens == (ONE,)
 
@@ -180,15 +181,15 @@ class TestElementaryIdeal:
         assert not ideal().is_unit_ideal()
 
     def test_zero_matrix_zero_ideal(self):
-        M = LaurentMatrix(2, 2, [LaurentPoly.zero()] * 4)
+        M = Matrix(2, 2, [LaurentPoly.zero()] * 4)
         assert elementary_ideal(M, 0).gens == ()
 
     def test_too_few_rows_zero_ideal(self):
-        M = LaurentMatrix(1, 3, [ONE, ONE, ONE])
+        M = Matrix(1, 3, [ONE, ONE, ONE])
         assert elementary_ideal(M, 0).gens == ()
 
     def test_unit_collapse(self):
-        M = LaurentMatrix(3, 2, [ONE, LaurentPoly.zero(), LaurentPoly.zero(), ONE,
+        M = Matrix(3, 2, [ONE, LaurentPoly.zero(), LaurentPoly.zero(), ONE,
                                  ONE - LaurentPoly.t_power(1), LaurentPoly.t_power(1) - ONE])
         assert elementary_ideal(M, 0).gens == (ONE,)
 
@@ -200,7 +201,7 @@ class TestElementaryIdeal:
                 LaurentPoly({rng.randint(0, 2): rng.randint(-2, 2) for _ in range(2)})
                 for _ in range(9)
             ]
-            M = LaurentMatrix(3, 3, entries)
+            M = Matrix(3, 3, entries)
             for k in range(0, 3):
                 low = elementary_ideal(M, k)
                 high = elementary_ideal(M, k + 1)
@@ -295,7 +296,7 @@ def _random_matrix(rng, rows, cols):
         j = rng.randrange(cols)
         for row in grid:
             row[j] = LaurentPoly.zero()
-    return LaurentMatrix(rows, cols, [x for row in grid for x in row])
+    return Matrix(rows, cols, [x for row in grid for x in row])
 
 
 class TestUnitPivotElimination:
@@ -332,10 +333,10 @@ class TestUnitPivotElimination:
         assert min(shapes.values()) >= 40
 
     def test_empty_and_fully_reducible_matrices(self):
-        empty = LaurentMatrix(0, 3, [])
+        empty = Matrix(0, 3, [])
         assert _eliminate_unit_pivots(empty) == empty
-        units = LaurentMatrix(2, 2, [ONE, -ONE, LaurentPoly.t_power(2), LaurentPoly.zero()])
-        assert _eliminate_unit_pivots(units) == LaurentMatrix(0, 0, [])
+        units = Matrix(2, 2, [ONE, -ONE, LaurentPoly.t_power(2), LaurentPoly.zero()])
+        assert _eliminate_unit_pivots(units) == Matrix(0, 0, [])
 
 
 class TestAlexanderAtScale:

@@ -1,10 +1,13 @@
+import ast
+import inspect
 import math
 import random
 from itertools import combinations
 
 import pytest
 
-from knotcert.intlinalg import IntMatrix, smith_normal_form
+from knotcert import intlinalg
+from knotcert.intlinalg import Matrix, smith_normal_form
 
 
 def cofactor_det(rows):
@@ -75,18 +78,18 @@ def assert_snf_contract(A):
 
 
 def test_identity():
-    snf = assert_snf_contract(IntMatrix.identity(2))
+    snf = assert_snf_contract(Matrix.identity(2))
     assert snf.diagonal() == [1, 1]
 
 
 def test_two_by_two():
     # gcd of entries is 2 and |det| = 8, so the diagonal is (2, 4)
-    snf = assert_snf_contract(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    snf = assert_snf_contract(Matrix.from_rows([[2, 4], [6, 8]]))
     assert snf.diagonal() == [2, 4]
 
 
 def test_four_generator_exponent_matrix():
-    A = IntMatrix.from_rows(
+    A = Matrix.from_rows(
         [[2, 3, 0, 0], [0, 0, 2, 3], [1, 1, -1, -1], [1, 1, -1, -1]]
     )
     snf = assert_snf_contract(A)
@@ -94,17 +97,17 @@ def test_four_generator_exponent_matrix():
 
 
 def test_zero_and_empty_shapes():
-    assert_snf_contract(IntMatrix(2, 3, [0] * 6))
-    assert_snf_contract(IntMatrix(0, 3, []))
-    assert_snf_contract(IntMatrix(3, 0, []))
-    assert_snf_contract(IntMatrix(0, 0, []))
+    assert_snf_contract(Matrix(2, 3, [0] * 6))
+    assert_snf_contract(Matrix(0, 3, []))
+    assert_snf_contract(Matrix(3, 0, []))
+    assert_snf_contract(Matrix(0, 0, []))
 
 
 def test_random_matrices_match_minor_gcd_oracle():
     rng = random.Random(91)
     for _ in range(200):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        A = IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
+        A = Matrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
         snf = assert_snf_contract(A)
         assert snf.diagonal() == snf_diagonal_oracle(A)
 
@@ -113,7 +116,7 @@ def test_random_larger_matrices_contract_only():
     rng = random.Random(92)
     for _ in range(100):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        A = IntMatrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
+        A = Matrix(m, n, [rng.randint(-9, 9) for _ in range(m * n)])
         assert_snf_contract(A)
 
 
@@ -124,11 +127,24 @@ def test_det_matches_cofactor_oracle():
             # small entries make zero pivots, row swaps and singular matrices common
             bound = rng.choice((1, 9))
             rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-            assert IntMatrix.from_rows(rows).det() == cofactor_det(rows)
+            assert Matrix.from_rows(rows).det() == cofactor_det(rows)
     with pytest.raises(ValueError):
-        IntMatrix(2, 3, [0] * 6).det()
+        Matrix(2, 3, [0] * 6).det()
 
 
 def test_entry_count_validation():
     with pytest.raises(ValueError):
-        IntMatrix(2, 2, [1, 2, 3])
+        Matrix(2, 2, [1, 2, 3])
+
+
+def test_imports_nothing_from_laurent():
+    # laurent builds on intlinalg (Matrix, bareiss_det), never the reverse
+    tree = ast.parse(inspect.getsource(intlinalg))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "laurent" in name}

@@ -6,17 +6,16 @@ import pytest
 
 from knotcert import laurent
 from knotcert.constructions import annihilator_poly
+from knotcert.intlinalg import Matrix, bareiss_det
 from knotcert.laurent import (
     AllZero,
     DivisionByZero,
     InvalidIndex,
-    LaurentMatrix,
     LaurentPoly,
     NotDivisible,
     SizeTooLarge,
     _divmod_dense,
     _prime_factors,
-    bareiss_det,
     cyclotomic,
     cyclotomic_divisor_test,
     divide_exact,
@@ -457,7 +456,7 @@ class TestMinorsAndDet:
         monkeypatch.setattr(laurent, "divide_exact", lambda a, b: calls.append(b) or real(a, b))
         pp = poly({2: 1, 1: -1, 0: 1})
         one_minus_t = ONE - T
-        m = LaurentMatrix(
+        m = Matrix(
             3, 2, [pp, LaurentPoly.zero(), LaurentPoly.zero(), pp, one_minus_t, -one_minus_t]
         )
         assert minors(m, 2) == [(pp * pp).canonical(), (one_minus_t * pp).canonical()]
@@ -466,29 +465,29 @@ class TestMinorsAndDet:
     def test_order_ideal_shape_matrix(self):
         pp = poly({2: 1, 1: -1, 0: 1})
         one_minus_t = ONE - T
-        m = LaurentMatrix(
+        m = Matrix(
             3, 2, [pp, LaurentPoly.zero(), LaurentPoly.zero(), pp, one_minus_t, -one_minus_t]
         )
         got = minors(m, 2)
         assert got == [(pp * pp).canonical(), (one_minus_t * pp).canonical()]
 
     def test_identity(self):
-        m = LaurentMatrix(2, 2, [ONE, LaurentPoly.zero(), LaurentPoly.zero(), ONE])
+        m = Matrix(2, 2, [ONE, LaurentPoly.zero(), LaurentPoly.zero(), ONE])
         assert minors(m, 2) == [ONE]
 
     def test_rank_deficient(self):
-        m = LaurentMatrix(2, 2, [T, T, T, T])
+        m = Matrix(2, 2, [T, T, T, T])
         assert minors(m, 2) == []
 
     def test_size_too_large(self):
-        m = LaurentMatrix(2, 2, [ONE] * 4)
+        m = Matrix(2, 2, [ONE] * 4)
         with pytest.raises(SizeTooLarge):
             minors(m, 3)
 
     def test_empty_minor_is_one(self):
-        m = LaurentMatrix(2, 2, [T] * 4)
+        m = Matrix(2, 2, [T] * 4)
         assert minors(m, 0) == [ONE]
 
     def test_bad_entry_count(self):
         with pytest.raises(ValueError):
-            LaurentMatrix(2, 2, [ONE])
+            Matrix(2, 2, [ONE])
