@@ -70,14 +70,21 @@ USAGE_ERRORS = (
 )
 
 
+def _coeff_strs(poly: LaurentPoly) -> list[str]:
+    """Decimal coefficients of a nonzero poly from min_exp to max_exp;
+    str runs at the nonzero terms only."""
+    lo = poly.min_exp()
+    strs = ["0"] * (poly.max_exp() - lo + 1)
+    for e, c in poly.items():
+        strs[e - lo] = str(c)
+    return strs
+
+
 def poly_to_json(poly: LaurentPoly) -> dict:
     """{"min_exp": int, "coeffs": decimal strings, ascending, dense}."""
     if poly.is_zero():
         return {"min_exp": 0, "coeffs": []}
-    return {
-        "min_exp": poly.min_exp(),
-        "coeffs": [str(c) for c in poly.dense_coeffs()],
-    }
+    return {"min_exp": poly.min_exp(), "coeffs": _coeff_strs(poly)}
 
 
 def poly_from_json(obj: dict) -> LaurentPoly:
@@ -134,7 +141,7 @@ def _yesno(flag: bool) -> str:
 
 
 def _coeff_line(poly: LaurentPoly) -> str:
-    return " ".join(str(c) for c in poly.dense_coeffs()) if poly else "0"
+    return " ".join(_coeff_strs(poly)) if poly else "0"
 
 
 def _cmd_present(args, out) -> int:

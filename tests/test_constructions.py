@@ -336,11 +336,12 @@ class TestDistinctnessSweep:
 
     def test_one_fold_test_per_pair(self, monkeypatch):
         # One fold kernel per k; C(m, 2) pair decisions plus one k-side
-        # decision per k, and the p = 1 pairs add none.  No long division
-        # runs at all.
+        # decision per k, and the p = 1 pairs add none.  No division runs
+        # at all, neither long nor packed.
         builds, decisions, divisions = [], [], []
         real = constructions.cyclotomic_divisor_test
         monkeypatch.setattr(laurent, "_divmod_dense", lambda num, den: divisions.append(den))
+        monkeypatch.setattr(laurent, "_exact_quotient", lambda num, den: divisions.append(den))
 
         def counting_test(n):
             builds.append(n)

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from knotcert import laurent
 from knotcert.constructions import annihilator_poly
+from knotcert.fileformat import parse_presentation
+from knotcert.fox import alexander_polynomial
 from knotcert.intlinalg import Matrix, bareiss_det
 from knotcert.laurent import (
     AllZero,
@@ -15,6 +18,9 @@ from knotcert.laurent import (
     NotDivisible,
     SizeTooLarge,
     _divmod_dense,
+    _exact_quotient,
+    _long_quotient,
+    _packed_pays,
     _prime_factors,
     cyclotomic,
     cyclotomic_divisor_test,
@@ -195,9 +201,7 @@ class TestDivisionKernel:
         sparse = [LaurentPoly({n: 1, 0: -1}) for n in (2, 5, 12, 31, 64)]
         sparse += [cyclotomic(2**a * 3**b) for a, b in ((1, 1), (2, 1), (1, 2), (3, 2), (2, 3))]
         for e in (3, 9, 20):
-            # the two Fox entries of x^e y^-(e+1), up to units
-            sparse.append(LaurentPoly([((e + 1) * i, 1) for i in range(e)]))
-            sparse.append(LaurentPoly([(e * i, 1) for i in range(e + 1)]))
+            sparse.extend(_fox_entries(e))
         sparse.append(LaurentPoly({0: -1, 7: 3}))  # sparse and not monic
         dens = [g.dense_coeffs() for g in sparse]
         for _ in range(60):
@@ -243,6 +247,146 @@ class TestDivisionKernel:
             else:
                 outcomes["remainder" if any(expected[1]) else "exact"] += 1
         assert min(outcomes.values()) >= 50
+
+
+def _quotient_reference(num, den):
+    # num/den by the dense reference division, or None
+    qr = _divmod_reference(num.dense_coeffs(), den.dense_coeffs())
+    if qr is None or any(qr[1]):
+        return None
+    return LaurentPoly({i + num.min_exp() - den.min_exp(): c for i, c in enumerate(qr[0])})
+
+
+def _fox_entries(e):
+    # the two Fox entries of x^e y^-(e+1), up to units
+    return (
+        LaurentPoly([((e + 1) * i, 1) for i in range(e)]),
+        LaurentPoly([(e * i, 1) for i in range(e + 1)]),
+    )
+
+
+def _torus_delta(e):
+    # Alexander polynomial of T(e, e+1) in closed form
+    return LaurentPoly([(e * e - k * e, 1) for k in range(e + 1)]) - LaurentPoly(
+        [(k * (e + 1) + 1, 1) for k in range(e)]
+    )
+
+
+def _record_widths(monkeypatch):
+    widths = []
+    real = laurent._pack
+
+    def recording_pack(coeffs, lo, n, w, fmt):
+        widths.append(w)
+        return real(coeffs, lo, n, w, fmt)
+
+    monkeypatch.setattr(laurent, "_pack", recording_pack)
+    return widths
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPackedQuotient:
+    def _random(self, rng, length, bound, density):
+        terms = {i: rng.choice((-1, 1)) * rng.randint(1, bound) for i in range(length) if rng.random() < density}
+        terms[0] = terms.get(0, 1)
+        terms[length - 1] = terms.get(length - 1, -1)
+        return LaurentPoly(terms).shifted(rng.randint(-40, 40))
+
+    def test_matches_dense_reference(self, monkeypatch):
+        widths = _record_widths(monkeypatch)
+        rng = random.Random(43)
+        cases = []
+        for bound in (9, 10**6, 2**40, 10**30):
+            for density in (1.0, 0.3, 0.05):
+                for _ in range(25):
+                    den = self._random(rng, rng.randint(1, 40), bound, density)
+                    quot = self._random(rng, rng.randint(1, 40), bound, density)
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        num = quot * den
+                    elif kind == 1:  # plus a perturbation
+                        num = quot * den + self._random(rng, rng.randint(1, 30), bound, density)
+                    else:  # unrelated dividend
+                        num = self._random(rng, rng.randint(1, 80), bound, density)
+                    if num:
+                        cases.append((num, den))
+        for e in (2, 3, 9, 20, 80, 127):
+            a, b = _fox_entries(e)
+            delta = _torus_delta(e)
+            cases += [(a, delta), (b, delta), (b, a), (a, b), (-b.shifted(-e), delta.shifted(3)), (a + ONE, delta)]
+            if e <= 20:
+                cases += [(b * delta, a), (b * delta, b.shifted(5))]
+        for c, d in ((6, 3), (6, -4), (10**30, 10**15), (-7, 1)):  # constant operands
+            cases += [(poly({0: c}), poly({0: d})), (poly({-3: c, 5: c}), poly({2: d})), (poly({2: d}), poly({-3: c, 5: c}))]
+        outcomes = {"exact": 0, "not": 0}
+        for num, den in cases:
+            expected = _quotient_reference(num, den)
+            assert _exact_quotient(num, den) == expected, (num, den)
+            assert divides(den, num) == (expected is not None)
+            outcomes["not" if expected is None else "exact"] += 1
+        assert min(outcomes.values()) >= 100
+        assert set(widths) == {1, 2, 4, 8}
+        for g in (T, cyclotomic(57).shifted(-9)):  # zero operands never reach a route
+            assert divide_exact(LaurentPoly.zero(), g) == LaurentPoly.zero()
+            assert divides(g, LaurentPoly.zero()) and not divides(LaurentPoly.zero(), g)
+
+    def test_widens_when_the_quotient_outgrows_a_digit(self, monkeypatch):
+        # (1 + t) * (1 - 2t + 3t^2 - ... +- 200t^199 ... - 2t^397 + t^398)
+        # has coefficients +-1, so the route starts at one byte, where the
+        # quotient's digits carry
+        ramp = list(range(1, 201)) + list(range(199, 0, -1))
+        quot = LaurentPoly({i: (-1) ** i * c for i, c in enumerate(ramp)})
+        num = quot * (ONE + T)
+        assert max(map(abs, (c for _, c in num.items()))) == 1
+        widths = _record_widths(monkeypatch)
+        assert _exact_quotient(num, ONE + T) == quot == _quotient_reference(num, ONE + T)
+        assert widths == [1, 1, 2, 2]
+
+    def test_rejects_an_integer_multiple_that_is_no_polynomial_multiple(self, monkeypatch):
+        # num = (1 + t)(57 + 99t) + t(t - 256): at xi = 256, the width the
+        # route picks, den(xi) divides num(xi) with balanced quotient digits
+        # 57 + 99t, yet 1 + t does not divide num
+        den = ONE + T
+        num = den * poly({0: 57, 1: 99}) + T * (T - poly({0: 256}))
+        assert num == poly({0: 57, 1: -100, 2: 100})
+        assert (100 * 256**2 - 100 * 256 + 57) % 257 == 0
+        assert _quotient_reference(num, den) is None
+        widths = _record_widths(monkeypatch)
+        assert _exact_quotient(num, den) is None
+        assert widths == [1, 1, 2, 2]  # the one-byte quotient fails the check
+
+    def test_falls_back_to_long_division_past_eight_bytes(self, monkeypatch):
+        calls = []
+        real = laurent._long_quotient
+        monkeypatch.setattr(laurent, "_long_quotient", lambda num, den: calls.append(den) or real(num, den))
+        den = poly({0: 3, 1: 2**70, 4: -1})
+        quot = poly({0: -5, 2: 7, 3: 1})
+        assert _exact_quotient(quot * den, den) == quot
+        assert len(calls) == 1
+
+    def test_allocates_no_more_than_long_division(self):
+        # every width the route packs at, on divisible and non-divisible
+        # operands; the long route builds the dense lists the packed one
+        # replaces
+        rng = random.Random(47)
+        a, b = _fox_entries(30)
+        cases = [(_fox_entries(127)[1], _torus_delta(127)), (a * b, b)]
+        for bound in (9, 2**12, 2**28, 2**40):
+            den = self._random(rng, 400, bound, 1.0)
+            cases += [(self._random(rng, 60, 9, 1.0) * den, den), (self._random(rng, 500, 9, 1.0), den)]
+        den = self._random(rng, 400, 1, 0.1)  # one byte
+        cases += [(self._random(rng, 60, 1, 0.1) * den, den), (self._random(rng, 500, 1, 0.2), den)]
+        for num, den in cases:
+            assert _packed_pays(num, den)
+            assert _peak_bytes(lambda: _exact_quotient(num, den)) <= _peak_bytes(lambda: _long_quotient(num, den))
 
 
 def _cyclotomic_by_division(n, table):
@@ -376,6 +520,49 @@ class TestGcd:
         with pytest.raises(AllZero):
             laurent_gcd([])
 
+    def test_torus_knot_fox_entries_match_closed_form(self):
+        for e in range(2, 201):
+            a, b = _fox_entries(e)
+            assert laurent_gcd([a.shifted(-e), -b]) == _torus_delta(e), e
+
+    def test_matches_prs_oracle_random(self):
+        rng = random.Random(53)
+        families = []
+        for _ in range(150):
+            common = random_poly(rng, 6, (-8, 8))
+            fs = [common * random_poly(rng, 5, (-9, 9)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.4:  # one member divides another
+                fs.append(fs[0] * random_poly(rng, 3, (0, 30)))
+            families.append(fs)
+        for _ in range(40):  # sparse and wide: gcd(t^i - 1, t^j - 1) = t^gcd(i, j) - 1, times units
+            i, j = rng.randint(1, 300), rng.randint(1, 300)
+            families.append([poly({i: 1, 0: -1}).shifted(rng.randint(-9, 9)), poly({j: -3, 0: 3}), poly({i * j: 1, 0: -1})])
+        nontrivial = 0
+        for fs in families:
+            if all(f.is_zero() for f in fs):
+                continue
+            expected = _gcd_reference(fs)
+            assert laurent_gcd(fs) == expected, fs
+            nontrivial += not expected.is_unit()
+        assert nontrivial >= 100
+
+    def test_torus_knot_gcd_takes_one_short_long_division_and_one_packed_decision(self, monkeypatch):
+        long_steps, packed = [], []
+        real_long, real_packed = laurent._divmod_dense, laurent._exact_quotient
+        monkeypatch.setattr(
+            laurent, "_divmod_dense", lambda num, den: long_steps.append(len(num) - len(den) + 1) or real_long(num, den)
+        )
+        monkeypatch.setattr(
+            laurent, "_exact_quotient", lambda num, den: packed.append(real_packed(num, den)) or packed[-1]
+        )
+        for e in (2, 10, 127):
+            long_steps.clear()
+            packed.clear()
+            text = f"gens: x y\nrel: x^{e} y^-{e + 1}\n"
+            assert alexander_polynomial(parse_presentation(text)) == _torus_delta(e)
+            assert long_steps == [2], e
+            assert len(packed) == 1 and packed[0] is not None, e
+
     def test_gcd_divides_inputs_random(self):
         rng = random.Random(14)
         for _ in range(150):
@@ -385,6 +572,33 @@ class TestGcd:
             g = laurent_gcd(fs)
             for f in fs:
                 divide_exact(f, g)  # must not raise
+
+
+def _gcd_reference(polys):
+    # The primitive polynomial-remainder sequence alone, over the dense
+    # reference division, with no divisibility shortcut
+    def primitive(f):
+        c = f.content()
+        return LaurentPoly({e: v // c for e, v in f.items()}).canonical() if c else f
+
+    def span(f):
+        return f.max_exp() - f.min_exp()
+
+    nonzero = [f for f in polys if f]
+    g = primitive(nonzero[0])
+    for f in nonzero[1:]:
+        a, b = g, primitive(f)
+        while b:
+            if span(a) < span(b):
+                a, b = b, a
+            elif span(b) == 0:
+                a, b = ONE, LaurentPoly.zero()
+            else:
+                scale = b.coeff(b.max_exp()) ** (span(a) - span(b) + 1)
+                _, rem = _divmod_reference((a * scale).dense_coeffs(), b.dense_coeffs())
+                a, b = b, primitive(LaurentPoly(enumerate(rem)))
+        g = a.canonical()
+    return (g * math.gcd(*(f.content() for f in nonzero))).canonical()
 
 
 def cofactor_det(rows):
