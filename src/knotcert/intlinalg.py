@@ -4,8 +4,9 @@ Smith normal form.
 :class:`Matrix` holds the entries of one matrix over any exact ring: the
 integer exponent-sum matrices of presentations and the Fox matrices over
 Z[t, t^-1] are both Matrix instances.  :func:`bareiss_det` is the only
-fraction-free elimination: it serves ``Matrix.det`` over the integers and
-``laurent.laurent_det`` over the Laurent ring.
+fraction-free elimination, over any integral domain.  It serves
+``Matrix.det``, and ``laurent.laurent_det`` for the integer determinants
+of packed Laurent matrices larger than 6 x 6.
 
 smith_normal_form produces unimodular U, V with U*A*V = D, where D is
 diagonal with nonnegative entries d1 | d2 | ... ; D is unique.  Used to

@@ -99,6 +99,21 @@ class TestGolden:
             assert code == 0
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    def test_gamma_stdout_hash(self):
+        # sha256 of the stdout of gamma --p 1..30, one command after the
+        # other, from Bareiss over the Laurent ring, which multiplied and
+        # divided LaurentPolys inside every determinant
+        for extra, digest in (
+            ([], "aea0bd7d0939c35f8fa9a393bc7e2c8ae0dbede600b4334796f13ba61c44aba6"),
+            (["--json"], "d225fab16df462769185136fb141f9bc7d32828cf18c2db645160f5f8e95f73f"),
+        ):
+            h = hashlib.sha256()
+            for p in range(1, 31):
+                code, text = capture(["gamma", "--p", str(p)] + extra)
+                assert code == 0
+                h.update(text.encode("utf-8"))
+            assert h.hexdigest() == digest
+
     def test_verify_tau_verdicts(self):
         for p in range(2, 6):
             code, text = capture(["verify-tau", "--p", str(p)])

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ import tracemalloc
 import pytest
 
 from knotcert import laurent
+from knotcert.cli import run
 from knotcert.constructions import annihilator_poly
 from knotcert.fileformat import parse_presentation
 from knotcert.fox import alexander_polynomial
@@ -22,6 +24,7 @@ from knotcert.laurent import (
     _long_quotient,
     _packed_pays,
     _prime_factors,
+    _subset_det,
     cyclotomic,
     cyclotomic_divisor_test,
     divide_exact,
@@ -705,3 +708,136 @@ class TestMinorsAndDet:
     def test_bad_entry_count(self):
         with pytest.raises(ValueError):
             Matrix(2, 2, [ONE])
+
+
+def _bareiss_oracle(rows):
+    # Bareiss over the Laurent ring: LaurentPoly products and exact
+    # divisions, the route the packed determinant replaced
+    return bareiss_det(rows, ONE, divide_exact)
+
+
+class TestPackedDet:
+    def _random_matrix(self, rng, n, bound):
+        rows = [
+            [random_poly(rng, max_terms=rng.choice((2, 4, 12)), exp_range=(-9, 9), coeff_range=(-bound, bound))
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        kind = rng.randrange(4)
+        if kind == 1 and n:  # a zero row
+            rows[rng.randrange(n)] = [LaurentPoly.zero()] * n
+        elif kind == 2 and n >= 2:  # rank-deficient: one row a multiple of another
+            i, j = rng.sample(range(n), 2)
+            scale = random_poly(rng, 3, (-4, 4)) or ONE + T
+            rows[i] = [f * scale for f in rows[j]]
+        elif kind == 3:  # sparse: about half of the entries zero
+            rows = [[f if rng.random() < 0.5 else LaurentPoly.zero() for f in row] for row in rows]
+        return rows
+
+    def test_matches_bareiss_oracle(self, monkeypatch):
+        widths = _record_widths(monkeypatch)
+        rng = random.Random(61)
+        outcomes = {"zero": 0, "nonzero": 0}
+        for bound in (1, 9, 10**4, 10**9, 10**30):
+            for _ in range(80):
+                rows = self._random_matrix(rng, rng.randint(0, 5), bound)
+                expected = _bareiss_oracle(rows)
+                assert laurent_det(rows) == expected, rows
+                outcomes["nonzero" if expected else "zero"] += 1
+        assert min(outcomes.values()) >= 50
+        assert {1, 2, 4, 8} <= set(widths) and max(widths) > 8
+
+    def test_reads_back_a_coefficient_at_the_bound(self, monkeypatch):
+        # Monomial entries one per row and column make the bound tight:
+        # the determinant has a coefficient of absolute value xi/2 - 1 at
+        # the width laurent_det picks
+        zero = LaurentPoly.zero()
+        cases = [
+            ([[poly({-3: 127}), zero], [zero, poly({5: -1})]], 1),
+            ([[zero, poly({1: 7}), zero], [poly({-2: -31}), zero, zero], [zero, zero, poly({4: 151})]], 2),
+            ([[ONE, zero], [zero, poly({-7: -(2**31 - 1)})]], 4),
+            ([[poly({0: 49}), zero, zero, zero], [zero, zero, poly({2: -9271}), zero],
+              [zero, poly({-1: 337}), zero, zero], [zero, zero, zero, poly({0: 92737 * 649657})]], 8),
+            ([[poly({0: 2**71 - 1}), zero], [zero, poly({-1: 1})]], 9),
+        ]
+        for rows, w in cases:
+            half = 1 << 8 * w - 1
+            widths = _record_widths(monkeypatch)
+            det = laurent_det(rows)
+            assert det == _bareiss_oracle(rows)
+            assert [abs(c) for _, c in det.items()] == [half - 1]
+            assert set(widths) == {w}
+        # one more unit of norm widens the digit, and so do two products
+        # that land on one exponent: a bound from the largest entry of each
+        # row alone would be 100 and read 200 back at one byte
+        for rows, det in (
+            ([[poly({-3: 128}), zero], [zero, poly({5: -1})]], poly({2: -128})),
+            ([[poly({0: 100}), poly({1: 100})], [poly({-1: -1}), ONE]], poly({0: 200})),
+        ):
+            widths = _record_widths(monkeypatch)
+            assert laurent_det(rows) == det == _bareiss_oracle(rows)
+            assert set(widths) == {2}
+
+    def test_routes_by_size_and_matches_oracle_past_the_subset_table(self, monkeypatch):
+        routes = []
+        real_subset, real_bareiss = laurent._subset_det, laurent.bareiss_det
+        monkeypatch.setattr(laurent, "_subset_det", lambda A: routes.append(("subset", len(A))) or real_subset(A))
+        monkeypatch.setattr(
+            laurent, "bareiss_det", lambda A, one, div: routes.append(("bareiss", len(A))) or real_bareiss(A, one, div)
+        )
+        rng = random.Random(71)
+        for n in (2, 6, 7, 8):
+            for _ in range(6):
+                rows = [
+                    [random_poly(rng, max_terms=3, exp_range=(-4, 4), coeff_range=(-10**12, 10**12)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if rng.random() < 0.3:  # rank-deficient
+                    rows[0] = [f * poly({1: 1, 0: -2}) for f in rows[-1]]
+                routes.clear()
+                assert laurent_det(rows) == _bareiss_oracle(rows), rows
+                zero_line = not all(map(any, rows)) or not all(map(any, zip(*rows)))
+                assert routes == ([] if zero_line else [("subset" if n <= 6 else "bareiss", n)])
+
+    def test_subset_expansion_matches_matrix_det(self):
+        rng = random.Random(67)
+        for n in range(7):
+            for bound in (1, 10**6, 10**40):
+                for _ in range(15):
+                    A = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(n)] for _ in range(n)]
+                    if n >= 2 and rng.random() < 0.3:  # rank-deficient
+                        A[0] = [3 * x for x in A[-1]]
+                    assert _subset_det(A) == Matrix.from_rows(A).det(), A
+
+    def test_gamma_takes_no_laurent_product_division_or_bareiss_inside_a_det(self, monkeypatch):
+        inside, sizes, seen = [], [], []
+        real_det, real_mul = laurent.laurent_det, LaurentPoly.__mul__
+        real_div, real_bareiss = laurent.divide_exact, laurent.bareiss_det
+
+        def det(rows):
+            inside.append(len(rows))
+            try:
+                return real_det(rows)
+            finally:
+                sizes.append(inside.pop())
+
+        def watch(name, real):
+            def spy(*args):
+                if inside:
+                    seen.append(name)
+                return real(*args)
+            return spy
+
+        def bareiss(rows, one, exact_div):
+            if inside and isinstance(one, LaurentPoly):
+                seen.append("bareiss over Z[t, t^-1]")
+            return real_bareiss(rows, one, exact_div)
+
+        monkeypatch.setattr(laurent, "laurent_det", det)
+        monkeypatch.setattr(laurent, "divide_exact", watch("divide_exact", real_div))
+        monkeypatch.setattr(laurent, "bareiss_det", bareiss)
+        monkeypatch.setattr(LaurentPoly, "__mul__", watch("LaurentPoly product", real_mul))
+        monkeypatch.setattr(LaurentPoly, "__rmul__", watch("LaurentPoly product", real_mul))
+        assert run(["gamma", "--p", "10"], io.StringIO()) == 0
+        assert sizes.count(3) >= 10 and sizes.count(2) >= 10
+        assert seen == []
