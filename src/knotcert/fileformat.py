@@ -7,7 +7,10 @@ Grammar (UTF-8, one declaration per line):
     rel: ...
 
 where a token is ``name`` or ``name^k`` with k a nonzero integer and a
-name is made of letters, digits and underscores.  The ``gens:`` line
+name is made of ASCII letters, digits and underscores.  An exponent with
+more digits than the interpreter converts to an int
+(``sys.get_int_max_str_digits()``, 4300 by default) is a syntax error,
+leading zeros included.  The ``gens:`` line
 comes first and appears exactly once; blank lines and leading whitespace
 are ignored.  Printing a parsed canonical file reproduces it byte for
 byte.
@@ -20,8 +23,16 @@ import re
 from .presentations import Presentation
 from .words import Word
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_NAME = r"[A-Za-z0-9_]+"
+_NAME_RE = re.compile(rf"^{_NAME}$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
+# A whole whitespace-delimited token that is ``name`` or ``name^k`` with
+# k nonzero, as (name, digits of k or "").  A word is well formed exactly
+# when findall returns one match per token.  Matching token by token keeps
+# no SRE state across tokens, where a fullmatch of a repeated group over
+# the whole word would grow its backtracking stack with the word, and
+# possessive repeats need Python 3.11.
+_TOKEN_RE = re.compile(rf"(?<!\S)({_NAME})(?:\^(-?0*[1-9][0-9]*))?(?!\S)")
 
 
 class PresentationSyntaxError(ValueError):
@@ -49,7 +60,14 @@ def _parse_token(token: str, line: int, column: int) -> tuple[str, int]:
         return name, 1
     if not _INT_RE.match(exp_text):
         raise PresentationSyntaxError(f"bad exponent in {token!r}", line, column)
-    exp = int(exp_text)
+    try:
+        exp = int(exp_text)
+    except ValueError:
+        raise PresentationSyntaxError(
+            f"exponent of {name!r} has too many digits ({len(exp_text.lstrip('-'))})",
+            line,
+            column,
+        ) from None
     if exp == 0:
         raise ZeroExponent(f"line {line}: token {token!r} has exponent 0")
     return name, exp
@@ -59,8 +77,30 @@ def _tokens_with_columns(text_line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text_line)]
 
 
+def _bulk_parse_word(text: str, generators: set[str] | None) -> Word | None:
+    """The word, split and checked by one regex findall; None when a token
+    is malformed, names an unknown generator or has an exponent too long
+    for int()."""
+    pairs = _TOKEN_RE.findall(text)
+    if len(pairs) != len(text.split()):
+        return None
+    if generators is not None and not generators.issuperset([n for n, _ in pairs]):
+        return None
+    try:
+        return Word([(n, int(e) if e else 1) for n, e in pairs])
+    except ValueError:
+        return None
+
+
 def parse_word(text: str, generators: set[str] | None = None, line: int = 1) -> Word:
-    """Parse whitespace-separated word tokens; optionally restrict names."""
+    """Parse whitespace-separated word tokens; optionally restrict names.
+
+    Only a word the bulk parser rejects goes through the per-token loop,
+    which raises the error of its first bad token, with its column.
+    """
+    word = _bulk_parse_word(text, generators)
+    if word is not None:
+        return word
     syllables = []
     for token, col in _tokens_with_columns(text):
         name, exp = _parse_token(token, line, col)
@@ -72,6 +112,7 @@ def parse_word(text: str, generators: set[str] | None = None, line: int = 1) -> 
 
 def parse_presentation(text: str) -> Presentation:
     generators: list[str] | None = None
+    known: set[str] = set()
     relators: list[Word] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -90,10 +131,11 @@ def parse_presentation(text: str) -> Presentation:
                     raise PresentationSyntaxError(
                         f"bad generator name {token!r}", lineno, col
                     )
-                if token in generators:
+                if token in known:
                     raise PresentationSyntaxError(
                         f"duplicate generator {token!r}", lineno, col
                     )
+                known.add(token)
                 generators.append(token)
         elif line.startswith("rel:"):
             if generators is None:
@@ -101,7 +143,7 @@ def parse_presentation(text: str) -> Presentation:
                     "rel: line before gens: line", lineno, start
                 )
             relators.append(
-                parse_word(raw.replace("rel:", "    ", 1), set(generators), line=lineno)
+                parse_word(raw.replace("rel:", "    ", 1), known, line=lineno)
             )
         else:
             raise PresentationSyntaxError(

@@ -4,6 +4,11 @@ A word is a sequence of syllables (generator name, nonzero exponent) in
 which adjacent syllables never share a generator.  The empty word is the
 identity.  Words are immutable and hashable, so they can serve as group
 ring keys.
+
+Seam invariant: the syllables of a Word are always freely reduced, so in
+a product u * v the only cancellation or merge happens where the last
+syllables of u meet the first syllables of v.  ``__mul__`` and
+``inverse`` rely on it and build their results without reducing again.
 """
 
 from __future__ import annotations
@@ -16,17 +21,18 @@ class ForeignGenerator(ValueError):
 
 
 def _reduce(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:
-    stack: list[list] = []
+    stack: list[tuple[str, int]] = []
+    push, pop = stack.append, stack.pop
     for gen, exp in syllables:
         if not exp:
             continue
         if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if not stack[-1][1]:
-                stack.pop()
+            exp += pop()[1]
+            if exp:
+                push((gen, exp))
         else:
-            stack.append([gen, exp])
-    return tuple((g, e) for g, e in stack)
+            push((gen, exp))
+    return tuple(stack)
 
 
 class Word:
@@ -48,6 +54,13 @@ class Word:
         raise AttributeError("Word is immutable")
 
     @classmethod
+    def _from_reduced(cls, syllables: tuple[tuple[str, int], ...]) -> "Word":
+        """Wrap a tuple of syllables that is already freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "syllables", syllables)
+        return w
+
+    @classmethod
     def identity(cls) -> "Word":
         return cls()
 
@@ -59,10 +72,20 @@ class Word:
         return not self.syllables
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.syllables + other.syllables)
+        a, b = self.syllables, other.syllables
+        i, j = len(a), 0
+        # Both factors are reduced: cancel whole syllables at the seam until
+        # its two sides name different generators or merge to a nonzero power.
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            exp = a[i - 1][1] + b[j][1]
+            if exp:
+                return Word._from_reduced(a[: i - 1] + ((b[j][0], exp),) + b[j + 1 :])
+            i -= 1
+            j += 1
+        return Word._from_reduced(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._from_reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()

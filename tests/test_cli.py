@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 
 from knotcert import cli
 from knotcert.cli import (
@@ -80,6 +81,38 @@ ALEXANDER_GOLDEN = {
 }
 
 
+# Malformed words, words with unknown names and words whose syllables
+# cancel, for the wp golden hash; each exits 0 or 2.
+WP_ERROR_WORDS = (
+    "", "x^0", "q", "x^", "^2", "x^2^3", "x z z^-1", "x^-00", "x\x1cy",
+    "x^\u0663", "x^+2", "x ^2", "x^2y", "x^-", "x^--1", "y^0003 x^-0010",
+    "x\u00a0y^2", "x y x^-1 y^-1 z^0", "x!", "\u00e9", "x y^1 x^-1 x y^-1",
+)
+
+
+def _wp_golden_cases():
+    """About 200 seeded wp requests: random words over {x, y} of up to 3000
+    syllables, with merges, cancellations, leading zeros and mixed
+    whitespace, on several (p, q), then the error words."""
+    rng = random.Random(2011)
+    params = [(2, 3), (3, 2), (2, 5), (3, 4), (5, 7), (7, 9), (4, 9), (2, 9)]
+    cases = []
+    for i in range(180):
+        n = 3000 if i % 30 == 0 else rng.randint(0, 3000)
+        alternate = i % 3 == 0
+        tokens = []
+        for j in range(n):
+            g = "xy"[j % 2] if alternate else rng.choice("xy")
+            e = rng.choice((-1, 1)) * rng.randint(1, 9)
+            exp = rng.choice(("", "0", "00")) + str(abs(e))
+            tokens.append(g if e == 1 else f"{g}^{'-' if e < 0 else ''}{exp}")
+        sep = rng.choice((" ", "  ", "\t", " \n "))
+        cases.append((*params[i % len(params)], sep.join(tokens)))
+    cases.append((2, 4, "x"))
+    cases.extend((2, 3, word) for word in WP_ERROR_WORDS)
+    return cases
+
+
 class TestGolden:
     def test_alexander_on_every_present_form(self, tmp_path):
         for (form, p), line in ALEXANDER_GOLDEN.items():
@@ -113,6 +146,16 @@ class TestGolden:
                 assert code == 0
                 h.update(text.encode("utf-8"))
             assert h.hexdigest() == digest
+
+    def test_wp_stdout_hash(self):
+        # sha256 of exit codes and stdout from the per-token parser, which
+        # ran a regex, a partition and an int for every token, and the
+        # list-stack reduction.
+        h = hashlib.sha256()
+        for p, q, word in _wp_golden_cases():
+            code, text = capture(["wp", "--p", str(p), "--q", str(q), "--word", word])
+            h.update(f"{code}\n{text}".encode("utf-8"))
+        assert h.hexdigest() == "19e6dbda95e0c7bd704300555a6faff8121b88e37df4747384ffe4a2674c091f"
 
     def test_verify_tau_verdicts(self):
         for p in range(2, 6):
@@ -166,9 +209,10 @@ class TestVerbs:
 
     def test_alexander_parse_error(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("rel: x\n", encoding="utf-8")
-        code, _ = capture(["alexander", "--file", str(path)])
-        assert code == 2
+        for text in ("rel: x\n", "gens: x y\nrel: x^" + "0" * 5000 + " y\n"):
+            path.write_text(text, encoding="utf-8")
+            code, _ = capture(["alexander", "--file", str(path)])
+            assert code == 2
 
     def test_alexander_file_not_utf8_is_a_usage_error(self, tmp_path):
         path = tmp_path / "latin1.txt"
@@ -233,6 +277,9 @@ class TestVerbs:
         assert code == 2
         code, _ = capture(["wp", "--p", "2", "--q", "3", "--word", "q"])
         assert code == 2
+        for exp in ("9" * 5000, "0" * 5000):
+            code, _ = capture(["wp", "--p", "2", "--q", "3", "--word", "y x^" + exp])
+            assert code == 2
 
     def test_wp_bad_params(self):
         code, _ = capture(["wp", "--p", "2", "--q", "4", "--word", "x"])

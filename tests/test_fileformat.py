@@ -1,3 +1,7 @@
+import random
+import re
+import time
+
 import pytest
 
 from knotcert.constructions import (
@@ -129,3 +133,97 @@ def test_columns_count_from_the_raw_line():
     with pytest.raises(PresentationSyntaxError) as info:
         parse_presentation("gens: x\nrel: x^\n")
     assert info.value.column == 6
+
+
+def test_huge_exponent_is_a_located_syntax_error():
+    for token in ("x^" + "7" * 5000, "x^" + "0" * 5000, "x^-" + "0" * 4999 + "1"):
+        for text in (token, "y " + token, "y\t" + token + " y^01"):
+            with pytest.raises(PresentationSyntaxError) as info:
+                parse_word(text, {"x", "y"}, line=4)
+            assert (info.value.line, info.value.column) == (4, text.index("x") + 1)
+            assert "too many digits (5000)" in str(info.value)
+        with pytest.raises(PresentationSyntaxError) as info:
+            parse_presentation(f"gens: x y\nrel: y x\n  rel: {token}\n")
+        assert (info.value.line, info.value.column) == (3, 8)
+    # an unknown name before the long exponent is still reported first
+    with pytest.raises(UnknownGenerator):
+        parse_word("z x^" + "9" * 5000, {"x", "y"})
+
+
+def test_many_generators_parse_in_linear_time():
+    rng = random.Random(20000)
+    gens = [f"g{i}" for i in range(20000)]
+    text = "gens: " + " ".join(gens) + "\n" + "".join(
+        "rel: " + " ".join(f"{rng.choice(gens)}^{rng.randint(1, 5)}" for _ in range(5)) + "\n"
+        for _ in range(2000)
+    )
+    start = time.perf_counter()
+    P = parse_presentation(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(P.generators) == 20000
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_presentation("gens: " + " ".join(gens) + " g7 g-\n")
+    assert "duplicate generator 'g7'" in str(info.value)
+
+
+def test_long_invalid_word_is_rejected_in_linear_time():
+    text = "x" * 10**6 + "!"
+    start = time.perf_counter()
+    with pytest.raises(PresentationSyntaxError) as info:
+        parse_word(text, {"x", "y"})
+    assert time.perf_counter() - start < 1.0
+    assert info.value.column == 1
+
+
+# The parser as it was before the bulk path: every token goes through a
+# regex, a partition, two more regex matches and an int.  Kept as the
+# oracle for parse_word's results and for its errors and their columns.
+def _per_token_parse_word(text, generators=None, line=1):
+    syllables = []
+    for m in re.finditer(r"\S+", text):
+        token, col = m.group(), m.start() + 1
+        name, sep, exp_text = token.partition("^")
+        if not re.match(r"^[A-Za-z0-9_]+$", name):
+            raise PresentationSyntaxError(f"bad token {token!r}", line, col)
+        exp = 1
+        if sep:
+            if not re.match(r"^-?[0-9]+$", exp_text):
+                raise PresentationSyntaxError(f"bad exponent in {token!r}", line, col)
+            exp = int(exp_text)
+            if exp == 0:
+                raise ZeroExponent(f"line {line}: token {token!r} has exponent 0")
+        if generators is not None and name not in generators:
+            raise UnknownGenerator(f"line {line}: unknown generator {name!r}")
+        syllables.append((name, exp))
+    return Word(syllables)
+
+
+def _outcome(parse, text, generators):
+    try:
+        return ("ok", parse(text, generators, line=3).syllables)
+    except (PresentationSyntaxError, UnknownGenerator, ZeroExponent) as exc:
+        return (type(exc), str(exc), getattr(exc, "column", None))
+
+
+FUZZ_PIECES = (
+    "x", "y", "z", "a1", "_", "^", "-", "0", "00", "1", "7", "12", " ", "  ",
+    "\t", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\xa0", "\u3000", "\u200b",
+    "\u0663", "\xe9", "!", "+", "-00", "x^", "^2", "x^2^3", "x z z^-1", "x^-1",
+    "y^3", "x^007", "y^-0",
+)
+
+
+def test_bulk_parse_word_matches_the_per_token_parser():
+    rng = random.Random(11)
+    cases = ["", " ", "x", "x z z^-1", "x^2^3", "^2", "x^", "x^-00", "x\x1cy", "x^\u0663"]
+    for _ in range(6000):
+        cases.append("".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(1, 12))))
+    for _ in range(300):
+        tokens = [rng.choice("xy") + rng.choice(("", "^2", "^-1", "^-03")) for _ in range(60)]
+        tokens[rng.randrange(60)] = rng.choice(FUZZ_PIECES)
+        cases.append(rng.choice((" ", "\t ", "\x1c")).join(tokens))
+    for text in cases:
+        for generators in (None, {"x", "y"}):
+            assert _outcome(parse_word, text, generators) == _outcome(
+                _per_token_parse_word, text, generators
+            ), text

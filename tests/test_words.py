@@ -1,6 +1,6 @@
 import random
 
-from knotcert.words import Word, commutator, relator_equivalent, replace_subword
+from knotcert.words import Word, _reduce, commutator, relator_equivalent, replace_subword
 
 
 def W(*syllables):
@@ -119,3 +119,48 @@ def test_replace_subword():
 def test_str_tokens():
     assert str(W(("a1", 2), ("z", -1), ("a2", 1))) == "a1^2 z^-1 a2"
     assert str(Word.identity()) == ""
+
+
+def letterwise_reduce(raw):
+    """Free reduction one letter at a time: spell every syllable out as
+    letters, cancel x x^-1 pairs on a stack, then group equal letters."""
+    letters = []
+    for g, e in raw:
+        for _ in range(abs(e)):
+            step = 1 if e > 0 else -1
+            if letters and letters[-1] == (g, -step):
+                letters.pop()
+            else:
+                letters.append((g, step))
+    out = []
+    for g, s in letters:
+        if out and out[-1][0] == g:
+            out[-1][1] += s
+        else:
+            out.append([g, s])
+    return tuple((g, e) for g, e in out)
+
+
+def test_reduce_matches_letterwise_reduction():
+    rng = random.Random(13)
+    for _ in range(2000):
+        raw = random_raw(rng, ["a", "b"], rng.randint(0, 40))
+        raw += [(rng.choice("ab"), 0)] * rng.randint(0, 2)
+        rng.shuffle(raw)
+        assert _reduce(raw) == letterwise_reduce(raw)
+        assert all(type(s) is tuple for s in _reduce(raw))
+
+
+def test_product_matches_reducing_the_concatenation():
+    rng = random.Random(17)
+    for _ in range(2000):
+        a = Word(random_raw(rng, ["a", "b", "c"], rng.randint(0, 12)))
+        c = Word(random_raw(rng, ["a", "b"], rng.randint(0, 4)))
+        # b cancels a partly, wholly, or not at all at the seam
+        b = rng.choice((a.inverse() * c, c, a.inverse(), Word(a.syllables[-2:]).inverse() * c))
+        for u, v in ((a, b), (b, a), (a, a), (c, b)):
+            got = u * v
+            assert got.syllables == Word(u.syllables + v.syllables).syllables
+            assert got.inverse().syllables == Word(
+                [(g, -e) for g, e in reversed(got.syllables)]
+            ).syllables
