@@ -157,6 +157,21 @@ class TestGolden:
             h.update(f"{code}\n{text}".encode("utf-8"))
         assert h.hexdigest() == "19e6dbda95e0c7bd704300555a6faff8121b88e37df4747384ffe4a2674c091f"
 
+    def test_report_verbs_stdout_hash(self):
+        # sha256 of exit codes and stdout of verify-tau and fold for
+        # p = 0..12, then selftest, from the CLI that worked out the tau
+        # and fold verdicts inline.
+        argvs = (
+            [["verify-tau", "--p", str(p)] for p in range(13)]
+            + [["fold", "--p", str(p)] for p in range(13)]
+            + [["selftest"]]
+        )
+        h = hashlib.sha256()
+        for argv in argvs:
+            code, text = capture(argv)
+            h.update(f"{code}\n{text}".encode("utf-8"))
+        assert h.hexdigest() == "8273d5dbda6dd676f87a5cd1bd53c89c1636671f8ef0de6e7caa847ff13f9e24"
+
     def test_verify_tau_verdicts(self):
         for p in range(2, 6):
             code, text = capture(["verify-tau", "--p", str(p)])
