@@ -3,8 +3,9 @@ around, run end to end with exact tolerances (all comparisons are exact
 equalities of integers, words or canonical polynomials).
 
 Each check returns a CheckResult; `run_all` prints one line per check.
-The CLI exposes this as ``knotcert selftest`` and the pytest suite wraps
-the same functions, so there is exactly one source of truth.
+``knotcert selftest`` and the pytest suite run the same functions, and the
+seam-quotient and fold checks call the reports that ``verify-tau`` and
+``fold`` print, so each verdict rule has exactly one source of truth.
 """
 
 from __future__ import annotations
@@ -14,20 +15,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constructions import (
+    MismatchError,
     annihilator_poly,
     derive_gamma_consistency,
     distinctness_certificates,
-    fold_images,
+    fold_report,
     gamma_presentation,
     gamma_tab_presentation,
-    tau_word,
+    tau_report,
     torus_wirtinger,
 )
 from .fox import GroupRingElement, alexander_polynomial, fox_derivative
 from .intlinalg import Matrix, smith_normal_form
 from .laurent import LaurentPoly, cyclotomic
-from .presentations import abelianization, add_relator, exponent_matrix
-from .torus import TorusKnotParams, normal_form, verify_homomorphism
+from .presentations import abelianization, exponent_matrix
+from .torus import TorusKnotParams, normal_form
 from .words import Word
 
 _SEED = 74025381
@@ -76,7 +78,7 @@ def check_tab_fidelity() -> CheckResult:
     try:
         for p in range(1, 7):
             gamma_tab_presentation(p)
-    except Exception as exc:  # MismatchError means the routes diverged
+    except MismatchError as exc:
         return CheckResult("tab-presentation-fidelity", False, f"route mismatch: {exc}")
     bad = [p for p in range(2, 7) if not derive_gamma_consistency(p).verified]
     return CheckResult(
@@ -131,15 +133,9 @@ def check_abelianization() -> CheckResult:
 
 
 def check_tau_quotient() -> CheckResult:
-    """Killing the seam commutator leaves a group with abelianization Z
-    and trivial Alexander polynomial."""
-    one = LaurentPoly.one()
-    bad = []
-    for p in range(2, 6):
-        Q = add_relator(torus_wirtinger(p), tau_word(p))
-        ab = abelianization(Q)
-        if not ab.is_infinite_cyclic() or alexander_polynomial(Q) != one:
-            bad.append(p)
+    """tau_report verifies: the seam commutator is a nontrivial commutator
+    and killing it leaves abelianization Z and Alexander polynomial 1."""
+    bad = [p for p in range(2, 6) if not tau_report(p).ok]
     return CheckResult(
         "seam-quotient",
         not bad,
@@ -151,13 +147,7 @@ def check_tau_quotient() -> CheckResult:
 
 def check_fold_surjection() -> CheckResult:
     """The fold onto the torus knot group is a surjective homomorphism."""
-    bad = []
-    for p in range(2, 9):
-        report = verify_homomorphism(
-            gamma_presentation(p), TorusKnotParams(p, p + 1), fold_images()
-        )
-        if not report.surjective:
-            bad.append(p)
+    bad = [p for p in range(2, 9) if not fold_report(p).surjective]
     return CheckResult(
         "fold-surjection",
         not bad,
@@ -175,16 +165,12 @@ def _random_word(rng: random.Random, gens: list[str], length: int) -> Word:
 
 def _fox_fundamental_ok(w: Word, gens: list[str]) -> bool:
     # sum_g d(w)/dg * (g - 1) == w - 1
+    ring = GroupRingElement.from_word
+    one = ring(Word.identity())
     total = GroupRingElement.zero()
     for g in gens:
-        bracket = GroupRingElement.from_word(Word.gen(g)) - GroupRingElement.from_word(
-            Word.identity()
-        )
-        total = total + fox_derivative(w, g) * bracket
-    expected = GroupRingElement.from_word(w) - GroupRingElement.from_word(
-        Word.identity()
-    )
-    return total == expected
+        total = total + fox_derivative(w, g) * (ring(Word.gen(g)) - one)
+    return total == ring(w) - one
 
 
 def check_property_suites() -> CheckResult:

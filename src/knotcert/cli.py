@@ -24,12 +24,12 @@ from .constructions import (
     distinctness_certificate,
     distinctness_certificates,
     double_presentation,
-    fold_images,
+    fold_report,
     gamma_artifacts,
     gamma_presentation,
     gamma_tab_presentation,
     standard_presentation,
-    tau_word,
+    tau_report,
     torus_wirtinger,
 )
 from .fileformat import (
@@ -42,17 +42,7 @@ from .fileformat import (
 )
 from .fox import NotInfiniteCyclicAbelianization, alexander_polynomial
 from .laurent import LaurentPoly
-from .presentations import abelianization, add_relator
-from .torus import (
-    BadParams,
-    TorusKnotParams,
-    apply_images,
-    is_in_commutator_subgroup,
-    normal_form,
-    product_to_amalgam,
-    verify_homomorphism,
-    wirtinger_standard_images,
-)
+from .torus import BadParams, TorusKnotParams, normal_form
 from .words import ForeignGenerator
 
 USAGE_ERRORS = (
@@ -87,13 +77,6 @@ def poly_to_json(poly: LaurentPoly) -> dict:
     return {"min_exp": poly.min_exp(), "coeffs": _coeff_strs(poly)}
 
 
-def poly_from_json(obj: dict) -> LaurentPoly:
-    base = int(obj["min_exp"])
-    return LaurentPoly(
-        {base + i: int(c) for i, c in enumerate(obj["coeffs"])}
-    )
-
-
 def certificate_payload(cert: DistinctnessCertificate) -> dict:
     """The schema-1 JSON object of a certificate, before serialization."""
     return {
@@ -115,25 +98,6 @@ def certificate_payload(cert: DistinctnessCertificate) -> dict:
 
 def emit_certificate_json(cert: DistinctnessCertificate) -> str:
     return json.dumps(certificate_payload(cert), sort_keys=True, indent=2)
-
-
-def parse_certificate_json(text: str) -> DistinctnessCertificate:
-    obj = json.loads(text)
-    if obj.get("schema_version") != 1:
-        raise ValueError(f"unsupported schema_version {obj.get('schema_version')!r}")
-    polys = obj["polynomials"]
-    return DistinctnessCertificate(
-        p=obj["p"],
-        k=obj["k"],
-        mode=obj["mode"],
-        phi_index=obj["phi_index"],
-        divides_in_k=obj["divides_in_k"],
-        divides_in_p=obj["divides_in_p"],
-        valid=obj["valid"],
-        poly_p=poly_from_json(polys["annihilator_p"]),
-        poly_k=poly_from_json(polys["annihilator_k"]),
-        phi=poly_from_json(polys["phi"]),
-    )
 
 
 def _yesno(flag: bool) -> str:
@@ -227,7 +191,7 @@ def _cmd_gamma(args, out) -> int:
             "fox_gamma_gcd_equals_annihilator": art.fox_gamma_gcd_equals_annihilator,
         }
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
+        return 0 if art.ok else 1
     out.write(f"artifacts for p = {art.p}\n\n")
     out.write("four-generator presentation:\n")
     out.write(presentation_to_text(art.presentation))
@@ -259,66 +223,37 @@ def _cmd_gamma(args, out) -> int:
         "  gcd of E1 of the four-generator presentation equals the "
         f"annihilator: {_yesno(art.fox_gamma_gcd_equals_annihilator)}\n"
     )
-    return 0
+    return 0 if art.ok else 1
 
 
 def _cmd_verify_tau(args, out) -> int:
-    p = args.p
-    tau = tau_word(p)
-    tk = TorusKnotParams(p, p + 1)
-    sums_zero = tau.exponent_sums() == {}
-    images = wirtinger_standard_images(p)
-    tau_image = apply_images(tau, images)
-    nf = normal_form(tk, product_to_amalgam(tau_image))
-    nontrivial = not nf.is_trivial()
-    in_commutator = is_in_commutator_subgroup(tk, tau_image)
-    quotient = add_relator(torus_wirtinger(p), tau)
-    ab = abelianization(quotient)
-    delta = alexander_polynomial(quotient) if ab.is_infinite_cyclic() else None
-    delta_trivial = delta == LaurentPoly.one()
-    out.write(f"tau = {tau}\n")
-    out.write(f"exponent sums all zero: {_yesno(sums_zero)}\n")
-    out.write(f"image in the torus knot group: {tau_image}\n")
-    out.write(f"image normal form: {nf}\n")
-    out.write(f"image nontrivial: {_yesno(nontrivial)}\n")
-    out.write(f"image lies in the commutator subgroup: {_yesno(in_commutator)}\n")
-    out.write(
-        "quotient abelianization infinite cyclic: "
-        + _yesno(ab.is_infinite_cyclic())
-        + "\n"
-    )
-    out.write(
-        "quotient alexander polynomial: "
-        + (str(delta) if delta is not None else "undefined")
-        + "\n"
-    )
-    ok = sums_zero and nontrivial and in_commutator and ab.is_infinite_cyclic() and delta_trivial
-    out.write("verdict: " + ("VERIFIED" if ok else "REFUTED") + "\n")
-    return 0 if ok else 1
+    r = tau_report(args.p)
+    out.write(f"tau = {r.tau}\n")
+    out.write(f"exponent sums all zero: {_yesno(r.exponent_sums_zero)}\n")
+    out.write(f"image in the torus knot group: {r.image}\n")
+    out.write(f"image normal form: {r.image_nf}\n")
+    out.write(f"image nontrivial: {_yesno(r.image_nontrivial)}\n")
+    out.write(f"image lies in the commutator subgroup: {_yesno(r.in_commutator)}\n")
+    out.write(f"quotient abelianization infinite cyclic: {_yesno(r.infinite_cyclic)}\n")
+    alexander = "undefined" if r.alexander is None else str(r.alexander)
+    out.write(f"quotient alexander polynomial: {alexander}\n")
+    out.write("verdict: " + ("VERIFIED" if r.ok else "REFUTED") + "\n")
+    return 0 if r.ok else 1
 
 
 def _cmd_fold(args, out) -> int:
     p = args.p
-    report = verify_homomorphism(
-        gamma_presentation(p), TorusKnotParams(p, p + 1), fold_images()
-    )
+    report = fold_report(p)
     out.write(f"fold u -> x, v -> y, x -> x, y -> y onto <x, y | x^{p} y^{p + 1}>\n")
     for check in report.relator_checks:
         image = str(check.image) if not check.image.is_identity() else "1"
-        out.write(
-            f"relator {check.relator} maps to {image}: "
-            + ("trivial" if check.trivial else f"NONTRIVIAL ({check.normal_form})")
-            + "\n"
-        )
+        status = "trivial" if check.trivial else f"NONTRIVIAL ({check.normal_form})"
+        out.write(f"relator {check.relator} maps to {image}: {status}\n")
     out.write(f"images reach x: {_yesno(report.hits_x)}\n")
     out.write(f"images reach y: {_yesno(report.hits_y)}\n")
-    ok = report.surjective
-    out.write(
-        "verdict: "
-        + ("HOMOMORPHISM, SURJECTIVE" if ok else "REFUTED")
-        + "\n"
-    )
-    return 0 if ok else 1
+    verdict = "HOMOMORPHISM, SURJECTIVE" if report.surjective else "REFUTED"
+    out.write(f"verdict: {verdict}\n")
+    return 0 if report.surjective else 1
 
 
 def _cmd_wp(args, out) -> int:

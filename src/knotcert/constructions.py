@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .fox import IdealGenerators, alexander_matrix, elementary_ideal
+from .fox import IdealGenerators, alexander_matrix, alexander_polynomial, elementary_ideal
 from .intlinalg import Matrix
 from .laurent import (
     LaurentPoly,
@@ -25,8 +25,18 @@ from .laurent import (
     divide_exact,
     laurent_gcd,
 )
-from .presentations import Presentation, abelianization
-from .torus import TorusKnotParams
+from .presentations import Presentation, abelianization, add_relator
+from .torus import (
+    HomomorphismReport,
+    TorusKnotParams,
+    TorusNF,
+    apply_images,
+    is_in_commutator_subgroup,
+    normal_form,
+    product_to_amalgam,
+    verify_homomorphism,
+    wirtinger_standard_images,
+)
 from .words import Word, commutator, relator_equivalent, replace_subword
 
 
@@ -97,6 +107,55 @@ def tau_word(p: int) -> Word:
     return commutator(_gen("a1"), _strand_product("a", p))
 
 
+@dataclass(frozen=True)
+class TauReport:
+    """What tau_report(p) finds: tau, its image in <x, y | x^p y^(p+1)> and
+    that image's normal form, and the quotient of torus_wirtinger(p) by tau,
+    whose alexander is None unless the quotient abelianizes to Z."""
+
+    tau: Word
+    exponent_sums_zero: bool
+    image: Word
+    image_nf: TorusNF
+    in_commutator: bool
+    infinite_cyclic: bool
+    alexander: LaurentPoly | None
+
+    @property
+    def image_nontrivial(self) -> bool:
+        return not self.image_nf.is_trivial()
+
+    @property
+    def ok(self) -> bool:
+        # the one place the verdict rule lives
+        return (
+            self.exponent_sums_zero
+            and self.image_nontrivial
+            and self.in_commutator
+            and self.infinite_cyclic
+            and self.alexander == LaurentPoly.one()
+        )
+
+
+def tau_report(p: int) -> TauReport:
+    """Check that tau_word(p) is a nontrivial commutator whose quotient
+    has abelianization Z and Alexander polynomial 1; InvalidP for p < 2."""
+    tau = tau_word(p)
+    tk = TorusKnotParams(p, p + 1)
+    image = apply_images(tau, wirtinger_standard_images(p))
+    quotient = add_relator(torus_wirtinger(p), tau)
+    infinite_cyclic = abelianization(quotient).is_infinite_cyclic()
+    return TauReport(
+        tau=tau,
+        exponent_sums_zero=tau.exponent_sums() == {},
+        image=image,
+        image_nf=normal_form(tk, product_to_amalgam(image)),
+        in_commutator=is_in_commutator_subgroup(tk, image),
+        infinite_cyclic=infinite_cyclic,
+        alexander=alexander_polynomial(quotient) if infinite_cyclic else None,
+    )
+
+
 def standard_presentation(p: int, q: int) -> Presentation:
     """Two-generator presentation <x, y | x^p y^q> of the (p, q) torus
     knot group (relator-product convention)."""
@@ -125,9 +184,7 @@ def double_presentation(p: int) -> tuple[Presentation, Word]:
         + _wirtinger_relators("w", "b", p)
         + [_gen("a1") * _gen("b1", -1)]
     )
-    word = commutator(_gen("a1"), _strand_product("a", p)) * commutator(
-        _gen("b1"), _strand_product("b", p)
-    ).inverse()
+    word = tau_word(p) * commutator(_gen("b1"), _strand_product("b", p)).inverse()
     return Presentation(gens, relators), word
 
 
@@ -159,6 +216,16 @@ def fold_images() -> dict[str, Word]:
         "x": _gen("x"),
         "y": _gen("y"),
     }
+
+
+def fold_report(p: int) -> HomomorphismReport:
+    """verify_homomorphism for the fold of gamma_presentation(p) onto the
+    (p, p+1) torus knot group; InvalidP for p < 2."""
+    if p < 2:
+        raise InvalidP(f"need p >= 2, got {p}")
+    return verify_homomorphism(
+        gamma_presentation(p), TorusKnotParams(p, p + 1), fold_images()
+    )
 
 
 def _tab_images(p: int) -> dict[str, Word]:
@@ -460,6 +527,10 @@ class GammaArtifacts:
     fox_ideal_gamma: IdealGenerators
     fox_tab_matches_order_ideal: bool
     fox_gamma_gcd_equals_annihilator: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.fox_tab_matches_order_ideal and self.fox_gamma_gcd_equals_annihilator
 
 
 def gamma_artifacts(p: int) -> GammaArtifacts:

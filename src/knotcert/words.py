@@ -88,6 +88,9 @@ class Word:
         return Word._from_reduced(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
+        if len(self.syllables) == 1:  # (g^e)^n is one syllable for any n
+            ((g, e),) = self.syllables
+            return Word.gen(g, e * n)
         base = self if n >= 0 else self.inverse()
         return Word(base.syllables * abs(n))
 

@@ -1,17 +1,12 @@
+import dataclasses
 import hashlib
 import io
 import json
 import random
 
 from knotcert import cli
-from knotcert.cli import (
-    emit_certificate_json,
-    parse_certificate_json,
-    poly_from_json,
-    poly_to_json,
-    run,
-)
-from knotcert.constructions import distinctness_certificate
+from knotcert.cli import emit_certificate_json, poly_to_json, run
+from knotcert.constructions import distinctness_certificate, gamma_artifacts
 from knotcert.laurent import LaurentPoly
 
 
@@ -22,13 +17,15 @@ def capture(argv):
 
 
 class TestPolyJson:
-    def test_round_trip(self):
+    def test_dense_from_min_exp(self):
         f = LaurentPoly({-2: 3, 0: -7, 5: 1})
-        assert poly_from_json(poly_to_json(f)) == f
+        assert poly_to_json(f) == {
+            "min_exp": -2,
+            "coeffs": ["3", "0", "-7", "0", "0", "0", "0", "1"],
+        }
 
     def test_zero(self):
         assert poly_to_json(LaurentPoly.zero()) == {"min_exp": 0, "coeffs": []}
-        assert poly_from_json({"min_exp": 0, "coeffs": []}) == LaurentPoly.zero()
 
     def test_coefficients_are_decimal_strings(self):
         big = 10 ** 40
@@ -37,10 +34,31 @@ class TestPolyJson:
 
 
 class TestCertificateJson:
-    def test_round_trip(self):
+    def test_carries_every_field(self):
         for pair in ((1, 2), (2, 3), (3, 5)):
             cert = distinctness_certificate(*pair)
-            assert parse_certificate_json(emit_certificate_json(cert)) == cert
+            obj = json.loads(emit_certificate_json(cert))
+            assert obj.pop("schema_version") == 1
+            polys = obj.pop("polynomials")
+            assert obj == {
+                "p": cert.p,
+                "k": cert.k,
+                "mode": cert.mode,
+                "phi_index": cert.phi_index,
+                "divides_in_k": cert.divides_in_k,
+                "divides_in_p": cert.divides_in_p,
+                "valid": cert.valid,
+            }
+            assert set(polys) == {"annihilator_p", "annihilator_k", "phi"}
+            for key, poly in (
+                ("annihilator_p", cert.poly_p),
+                ("annihilator_k", cert.poly_k),
+                ("phi", cert.phi),
+            ):
+                assert polys[key] == {
+                    "min_exp": poly.min_exp(),
+                    "coeffs": [str(c) for c in poly.dense_coeffs()],
+                }, (pair, key)
 
     def test_deterministic(self):
         cert = distinctness_certificate(2, 3)
@@ -277,6 +295,13 @@ class TestVerbs:
         assert code == 0
         assert "verdict: HOMOMORPHISM, SURJECTIVE" in text
 
+    def test_fold_huge_p(self):
+        # every image is a power of one syllable, so the fold's cost does
+        # not grow with p
+        code, text = capture(["fold", "--p", "100000000"])
+        assert code == 0
+        assert text.splitlines()[-1] == "verdict: HOMOMORPHISM, SURJECTIVE"
+
     def test_wp_trivial(self):
         code, text = capture(["wp", "--p", "2", "--q", "3", "--word", "x^2 y^-3"])
         assert code == 0
@@ -309,6 +334,18 @@ class TestVerbs:
         obj = json.loads(text)
         assert obj["fox_tab_matches_order_ideal"] is True
         assert obj["fox_gamma_gcd_equals_annihilator"] is True
+
+    def test_gamma_exits_1_when_a_cross_check_fails(self, monkeypatch):
+        art = gamma_artifacts(2)
+        for flag in ("fox_tab_matches_order_ideal", "fox_gamma_gcd_equals_annihilator"):
+            broken = dataclasses.replace(art, **{flag: False})
+            monkeypatch.setattr(cli, "gamma_artifacts", lambda p: broken)
+            code, text = capture(["gamma", "--p", "2"])
+            assert code == 1, flag
+            assert text.count(": no\n") == 1, flag
+            code, text = capture(["gamma", "--p", "2", "--json"])
+            assert code == 1, flag
+            assert json.loads(text)[flag] is False
 
     def test_selftest_runs_every_criterion(self):
         code, text = capture(["selftest"])

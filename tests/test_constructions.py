@@ -13,17 +13,29 @@ from knotcert.constructions import (
     distinctness_certificate,
     distinctness_certificates,
     double_presentation,
+    fold_images,
+    fold_report,
     gamma_artifacts,
     gamma_presentation,
     gamma_tab_presentation,
     order_ideal,
     standard_presentation,
+    tau_report,
     tau_word,
     torus_wirtinger,
 )
 from knotcert.fox import alexander_matrix, alexander_polynomial, elementary_ideal
 from knotcert.laurent import LaurentPoly, cyclotomic, divide_exact, divides, laurent_gcd
 from knotcert.presentations import abelianization, add_relator
+from knotcert.torus import (
+    TorusKnotParams,
+    apply_images,
+    is_in_commutator_subgroup,
+    normal_form,
+    product_to_amalgam,
+    verify_homomorphism,
+    wirtinger_standard_images,
+)
 from knotcert.words import Word
 
 ONE = LaurentPoly.one()
@@ -366,6 +378,55 @@ class TestSeamQuotient:
             assert ab.is_infinite_cyclic()
             assert alexander_polynomial(Q) == ONE
 
+    def test_tau_report_fields(self):
+        for p in range(2, 7):
+            report = tau_report(p)
+            tk = TorusKnotParams(p, p + 1)
+            image = apply_images(tau_word(p), wirtinger_standard_images(p))
+            Q = add_relator(torus_wirtinger(p), tau_word(p))
+            assert report.tau == tau_word(p)
+            assert report.exponent_sums_zero
+            assert report.image == image
+            assert report.image_nf == normal_form(tk, product_to_amalgam(image))
+            assert report.image_nontrivial
+            assert report.in_commutator == is_in_commutator_subgroup(tk, image)
+            assert report.infinite_cyclic
+            assert report.alexander == alexander_polynomial(Q) == ONE
+            assert report.ok
+
+    def test_tau_report_ok_needs_every_flag(self):
+        report = tau_report(3)
+        trivial = dataclasses.replace(report.image_nf, central_exponent=0, syllables=())
+        for change in (
+            {"exponent_sums_zero": False},
+            {"image_nf": trivial},
+            {"in_commutator": False},
+            {"infinite_cyclic": False},
+            {"alexander": None},
+            {"alexander": LaurentPoly({0: 1, 1: -1, 2: 1})},
+        ):
+            assert not dataclasses.replace(report, **change).ok, change
+
+    def test_tau_report_invalid(self):
+        for p in (-1, 0, 1):
+            with pytest.raises(InvalidP):
+                tau_report(p)
+
+
+class TestFold:
+    def test_fold_report_is_the_fold_homomorphism_check(self):
+        for p in range(2, 7):
+            report = fold_report(p)
+            assert report == verify_homomorphism(
+                gamma_presentation(p), TorusKnotParams(p, p + 1), fold_images()
+            )
+            assert report.surjective
+
+    def test_fold_report_invalid(self):
+        for p in (-1, 0, 1):
+            with pytest.raises(InvalidP):
+                fold_report(p)
+
 
 class TestArtifacts:
     def test_bundle(self):
@@ -389,3 +450,9 @@ class TestArtifacts:
             )
             assert art.fox_tab_matches_order_ideal
             assert art.fox_gamma_gcd_equals_annihilator
+            assert art.ok
+
+    def test_ok_needs_both_cross_checks(self):
+        art = gamma_artifacts(2)
+        for flag in ("fox_tab_matches_order_ideal", "fox_gamma_gcd_equals_annihilator"):
+            assert not dataclasses.replace(art, **{flag: False}).ok

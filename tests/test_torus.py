@@ -173,3 +173,7 @@ class TestCommutatorSubgroup:
     def test_generator_not_in(self):
         tk = TorusKnotParams(2, 3)
         assert not is_in_commutator_subgroup(tk, Word.gen("x"))
+
+    def test_foreign_generator(self):
+        with pytest.raises(ForeignGenerator):
+            is_in_commutator_subgroup(TorusKnotParams(2, 3), Word.gen("x") * Word.gen("z"))

@@ -45,6 +45,15 @@ def test_pow():
     assert xy ** -1 == W(("y", -1), ("x", -1))
 
 
+def test_one_syllable_pow_is_one_syllable():
+    assert Word.gen("x", 3) ** 10**9 == Word.gen("x", 3 * 10**9)
+    assert Word.gen("x", -2) ** -(10**12) == Word.gen("x", 2 * 10**12)
+    for e in (-3, -1, 1, 2):
+        for n in range(-4, 5):
+            base = Word.gen("x", e) if n >= 0 else Word.gen("x", -e)
+            assert Word.gen("x", e) ** n == Word(base.syllables * abs(n)), (e, n)
+
+
 def test_substitute_simple():
     w = Word.gen("x") * Word.gen("y")
     assert w.substitute("x", Word.gen("u") * Word.gen("v")) == W(
