@@ -150,6 +150,18 @@ class TestGolden:
             assert code == 0
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    def test_distinct_stdout_hash(self):
+        # sha256 of exit codes and stdout of distinct --p P --k K for
+        # 1 <= P < K <= 15, text then JSON, from the single-pair producer
+        # that glued its k-side and p-side facts together by position.
+        h = hashlib.sha256()
+        for extra in ([], ["--json"]):
+            for p in range(1, 16):
+                for k in range(p + 1, 16):
+                    code, text = capture(["distinct", "--p", str(p), "--k", str(k)] + extra)
+                    h.update(f"{code}\n{text}".encode("utf-8"))
+        assert h.hexdigest() == "c8536b92833509066c76f36fb8a5b938ebbf20e90a226e40be408371791c8f8c"
+
     def test_gamma_stdout_hash(self):
         # sha256 of the stdout of gamma --p 1..30, one command after the
         # other, from Bareiss over the Laurent ring, which multiplied and

@@ -369,6 +369,34 @@ class TestDistinctnessSweep:
             assert len(decisions) == math.comb(m, 2) + (m - 1), m
         assert divisions == []
 
+    def test_shared_work_is_done_once(self, monkeypatch):
+        # Calls of annihilator_poly (order_ideal's own call included),
+        # cyclotomic, cyclotomic_divisor_test and order_ideal: one
+        # annihilator per parameter, one k-side build per k, and the order
+        # ideal only when p = 1 is in play.
+        calls = {}
+
+        def counting(name):
+            real = getattr(constructions, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        names = ("annihilator_poly", "cyclotomic", "cyclotomic_divisor_test", "order_ideal")
+        for name in names:
+            monkeypatch.setattr(constructions, name, counting(name))
+        for produce, expected in (
+            (lambda: distinctness_certificates(1, 12), (13, 11, 11, 1)),
+            (lambda: distinctness_certificate(3, 7), (2, 1, 1, 0)),
+            (lambda: distinctness_certificate(1, 7), (3, 1, 1, 1)),
+        ):
+            calls.update(dict.fromkeys(names, 0))
+            produce()
+            assert all(calls[n] <= e for n, e in zip(names, expected)), calls
+
 
 class TestSeamQuotient:
     def test_alexander_becomes_trivial(self):
