@@ -14,9 +14,15 @@ cyclotomic divisibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
-from .fox import IdealGenerators, alexander_matrix, alexander_polynomial, elementary_ideal
+from .fox import (
+    IdealGenerators,
+    NotInfiniteCyclicAbelianization,
+    alexander_matrix,
+    alexander_polynomial,
+    elementary_ideal,
+)
 from .intlinalg import Matrix
 from .laurent import (
     LaurentPoly,
@@ -143,16 +149,18 @@ def tau_report(p: int) -> TauReport:
     tau = tau_word(p)
     tk = TorusKnotParams(p, p + 1)
     image = apply_images(tau, wirtinger_standard_images(p))
-    quotient = add_relator(torus_wirtinger(p), tau)
-    infinite_cyclic = abelianization(quotient).is_infinite_cyclic()
+    try:
+        alexander = alexander_polynomial(add_relator(torus_wirtinger(p), tau))
+    except NotInfiniteCyclicAbelianization:
+        alexander = None
     return TauReport(
         tau=tau,
         exponent_sums_zero=tau.exponent_sums() == {},
         image=image,
         image_nf=normal_form(tk, product_to_amalgam(image)),
         in_commutator=is_in_commutator_subgroup(tk, image),
-        infinite_cyclic=infinite_cyclic,
-        alexander=alexander_polynomial(quotient) if infinite_cyclic else None,
+        infinite_cyclic=alexander is not None,
+        alexander=alexander,
     )
 
 
@@ -415,64 +423,55 @@ class DistinctnessCertificate:
     phi: LaurentPoly
 
 
-def _p_facts(p: int, poly_p: LaurentPoly) -> tuple[LaurentPoly, bool]:
-    """The p-side facts: poly_p = annihilator_poly(p), and for p = 1
-    whether its order ideal is the unit ideal (False for every other p)."""
-    return poly_p, p == 1 and order_ideal(p)[1].is_unit_ideal()
+def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCertificate]:
+    """The certificate for every pair p < k with p in ps and k in ks, both
+    ascending, in (p, k) order.
 
-
-def _k_facts(
-    k: int, poly_k: LaurentPoly
-) -> tuple[LaurentPoly, LaurentPoly, bool, Callable[[LaurentPoly], bool]]:
-    """The k-side facts for poly_k = annihilator_poly(k): phi =
-    cyclotomic(k(k+1)), poly_k, whether phi divides poly_k, and the fold
-    test that decides phi | f for the pairs of this k.  Then phi divides
-    both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or
-    neither: phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1)."""
-    n = k * (k + 1)
-    in_phi = cyclotomic_divisor_test(n)
-    return cyclotomic(n), poly_k, in_phi(poly_k), in_phi
-
-
-def _certificate(
-    p: int,
-    p_facts: tuple[LaurentPoly, bool],
-    k: int,
-    k_facts: tuple[LaurentPoly, LaurentPoly, bool, Callable[[LaurentPoly], bool]],
-) -> DistinctnessCertificate:
-    # The one place the mode and validity rules live; the only per-pair
-    # work is the fold test for phi | annihilator_poly(p).
-    poly_p, p_ideal_is_unit = p_facts
-    phi, poly_k, divides_in_k, in_phi = k_facts
-    divides_in_p = in_phi(poly_p)
-    if p >= 2:
-        mode = "cyclotomic"
-        valid = divides_in_k and not divides_in_p
-    else:
-        # phi is not a unit, so divides_in_k makes the order ideal of k proper
-        mode = "unit_ideal"
-        valid = p_ideal_is_unit and divides_in_k
-    return DistinctnessCertificate(
-        p=p,
-        k=k,
-        mode=mode,
-        phi_index=k * (k + 1),
-        divides_in_k=divides_in_k,
-        divides_in_p=divides_in_p,
-        valid=valid,
-        poly_p=poly_p,
-        poly_k=poly_k,
-        phi=phi,
-    )
+    annihilator_poly(j) is computed once for each j in ps or ks, the k-side
+    facts (phi = cyclotomic(k(k+1)), its fold test and divides_in_k) once
+    per k and the p = 1 unit-ideal fact once, so each pair costs one fold
+    test for phi | annihilator_poly(p).  Nothing is kept after the call
+    returns.
+    """
+    polys = {j: annihilator_poly(j) for j in {*ps, *ks}}
+    phis = {k: cyclotomic(k * (k + 1)) for k in ks}
+    in_phis = {k: cyclotomic_divisor_test(k * (k + 1)) for k in ks}
+    # phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1), so it divides
+    # both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or neither.
+    in_k = {k: in_phis[k](polys[k]) for k in ks}
+    p1_ideal_is_unit = 1 in ps and order_ideal(1)[1].is_unit_ideal()
+    certs = []
+    for p in ps:
+        for k in ks:
+            if k <= p:
+                continue
+            divides_in_p = in_phis[k](polys[p])
+            # The one place the mode and validity rules live.
+            if p >= 2:
+                mode = "cyclotomic"
+                valid = in_k[k] and not divides_in_p
+            else:
+                # phi is not a unit, so divides_in_k makes the order ideal of k proper
+                mode = "unit_ideal"
+                valid = p1_ideal_is_unit and in_k[k]
+            certs.append(DistinctnessCertificate(
+                p=p,
+                k=k,
+                mode=mode,
+                phi_index=k * (k + 1),
+                divides_in_k=in_k[k],
+                divides_in_p=divides_in_p,
+                valid=valid,
+                poly_p=polys[p],
+                poly_k=polys[k],
+                phi=phis[k],
+            ))
+    return certs
 
 
 def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
-    """The certificate separating the groups for the pair 1 <= p < k.
-
-    Computes the k-side facts (phi = cyclotomic(k(k+1)), annihilator_poly(k)
-    and the fold test behind divides_in_k) and the p-side facts
-    (annihilator_poly(p), plus the order ideal when p = 1) for this one
-    pair; a sweep over many pairs should use distinctness_certificates.
+    """The certificate separating the groups for the pair 1 <= p < k; a
+    sweep over many pairs should use distinctness_certificates.
 
     >>> cert = distinctness_certificate(2, 3)
     >>> cert.mode, cert.phi_index, cert.divides_in_k, cert.divides_in_p, cert.valid
@@ -480,33 +479,20 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     """
     if p < 1 or p >= k:
         raise BadPair(f"need 1 <= p < k, got ({p}, {k})")
-    return _certificate(
-        p, _p_facts(p, annihilator_poly(p)), k, _k_facts(k, annihilator_poly(k))
-    )
+    return _certificates([p], [k])[0]
 
 
 def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]:
     """The certificates for every pair lo <= p < k <= hi, in (p, k) order,
-    each equal to distinctness_certificate(p, k); BadPair unless
-    1 <= lo <= hi.
-
-    annihilator_poly(j) is computed once for each lo <= j <= hi, the k-side
-    facts (phi and its fold test) once per k and the p-side facts once per
-    p, so each pair costs one fold test for phi | annihilator_poly(p).
-    Nothing is kept after the call returns.
+    each equal to distinctness_certificate(p, k) and sharing the per-k and
+    per-p work; BadPair unless 1 <= lo <= hi.
 
     >>> [(c.p, c.k, c.mode) for c in distinctness_certificates(1, 3)]
     [(1, 2, 'unit_ideal'), (1, 3, 'unit_ideal'), (2, 3, 'cyclotomic')]
     """
     if lo < 1 or hi < lo:
         raise BadPair(f"need 1 <= min <= max, got ({lo}, {hi})")
-    polys = {j: annihilator_poly(j) for j in range(lo, hi + 1)}
-    k_facts = {k: _k_facts(k, polys[k]) for k in range(lo + 1, hi + 1)}
-    certs = []
-    for p in range(lo, hi):
-        p_facts = _p_facts(p, polys[p])
-        certs.extend(_certificate(p, p_facts, k, k_facts[k]) for k in range(p + 1, hi + 1))
-    return certs
+    return _certificates(range(lo, hi), range(lo + 1, hi + 1))
 
 
 @dataclass(frozen=True)

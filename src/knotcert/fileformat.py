@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import re
 
-from .presentations import Presentation
+from .presentations import NAME_PATTERN, Presentation
 from .words import Word
 
-_NAME = r"[A-Za-z0-9_]+"
-_NAME_RE = re.compile(rf"^{_NAME}$")
+_NAME_RE = re.compile(NAME_PATTERN)
 _INT_RE = re.compile(r"^-?[0-9]+$")
 # A whole whitespace-delimited token that is ``name`` or ``name^k`` with
 # k nonzero, as (name, digits of k or "").  A word is well formed exactly
@@ -32,7 +31,7 @@ _INT_RE = re.compile(r"^-?[0-9]+$")
 # no SRE state across tokens, where a fullmatch of a repeated group over
 # the whole word would grow its backtracking stack with the word, and
 # possessive repeats need Python 3.11.
-_TOKEN_RE = re.compile(rf"(?<!\S)({_NAME})(?:\^(-?0*[1-9][0-9]*))?(?!\S)")
+_TOKEN_RE = re.compile(rf"(?<!\S)({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?(?!\S)")
 
 
 class PresentationSyntaxError(ValueError):
@@ -54,7 +53,7 @@ class ZeroExponent(ValueError):
 
 def _parse_token(token: str, line: int, column: int) -> tuple[str, int]:
     name, sep, exp_text = token.partition("^")
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise PresentationSyntaxError(f"bad token {token!r}", line, column)
     if not sep:
         return name, 1
@@ -127,7 +126,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise PresentationSyntaxError("duplicate gens: line", lineno, start)
             generators = []
             for token, col in _tokens_with_columns(raw.replace("gens:", "     ", 1)):
-                if not _NAME_RE.match(token):
+                if not _NAME_RE.fullmatch(token):
                     raise PresentationSyntaxError(
                         f"bad generator name {token!r}", lineno, col
                     )

@@ -10,6 +10,7 @@ precondition-checked move that preserves the group.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -21,8 +22,10 @@ class NoDefiningRelator(ValueError):
     """eliminate_generator found no relator matching gen = defining word."""
 
 
-def _valid_name(name: str) -> bool:
-    return bool(name) and all(c.isalnum() or c == "_" for c in name)
+# A generator name: ASCII letters, digits and underscores, so that every
+# name a Presentation accepts is one the presentation file format reads back.
+NAME_PATTERN = r"[A-Za-z0-9_]+"
+_NAME_RE = re.compile(NAME_PATTERN)
 
 
 class Presentation:
@@ -37,7 +40,7 @@ class Presentation:
     def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()):
         gens = tuple(generators)
         for g in gens:
-            if not _valid_name(g):
+            if not _NAME_RE.fullmatch(g):
                 raise ValueError(f"invalid generator name {g!r}")
         if len(set(gens)) != len(gens):
             raise ValueError("generator names must be unique")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from knotcert import cli, constructions, laurent
+from knotcert import cli, constructions, laurent, presentations
 from knotcert.constructions import (
     BadPair,
     InvalidP,
@@ -24,7 +24,12 @@ from knotcert.constructions import (
     tau_word,
     torus_wirtinger,
 )
-from knotcert.fox import alexander_matrix, alexander_polynomial, elementary_ideal
+from knotcert.fox import (
+    NotInfiniteCyclicAbelianization,
+    alexander_matrix,
+    alexander_polynomial,
+    elementary_ideal,
+)
 from knotcert.laurent import LaurentPoly, cyclotomic, divide_exact, divides, laurent_gcd
 from knotcert.presentations import abelianization, add_relator
 from knotcert.torus import (
@@ -294,6 +299,23 @@ class TestDistinctness:
         with pytest.raises(BadPair):
             distinctness_certificate(0, 3)
 
+    def test_validity_needs_every_fact(self, monkeypatch):
+        # On real inputs phi never divides annihilator_poly(p) for p < k and
+        # the p = 1 ideal is always the unit ideal; faked facts show that the
+        # rule still reads each one, in the sweep and for a single pair.
+        non_unit = order_ideal(2)
+        for name, fake, verdicts in (
+            ("cyclotomic_divisor_test", lambda n: lambda f: True, [True, True, False]),
+            ("cyclotomic_divisor_test", lambda n: lambda f: False, [False, False, False]),
+            ("order_ideal", lambda p: non_unit, [False, False, True]),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(constructions, name, fake)
+                certs = distinctness_certificates(1, 3)
+                singles = [distinctness_certificate(c.p, c.k) for c in certs]
+            assert [c.mode for c in certs] == ["unit_ideal", "unit_ideal", "cyclotomic"]
+            assert [c.valid for c in certs] == [c.valid for c in singles] == verdicts, name
+
     def test_matches_order_ideal_rule(self, order_ideals):
         # Oracle for the one-division rule: the p = 1 certificate used to
         # rebuild the order ideal of k and check phi against each generator,
@@ -421,6 +443,27 @@ class TestSeamQuotient:
             assert report.infinite_cyclic
             assert report.alexander == alexander_polynomial(Q) == ONE
             assert report.ok
+
+    def test_tau_report_abelianizes_once(self, monkeypatch):
+        # The abelianization inside alexander_polynomial also decides
+        # infinite_cyclic; the report runs no second one of its own.
+        calls = []
+        real = presentations.smith_normal_form
+        monkeypatch.setattr(
+            presentations, "smith_normal_form", lambda M: calls.append(M) or real(M)
+        )
+        for p in range(2, 6):
+            calls.clear()
+            assert tau_report(p).ok
+            assert len(calls) == 1, p
+
+    def test_tau_report_without_infinite_cyclic_quotient(self, monkeypatch):
+        def refuse(P):
+            raise NotInfiniteCyclicAbelianization("abelianization has rank 2 and torsion []")
+
+        monkeypatch.setattr(constructions, "alexander_polynomial", refuse)
+        report = tau_report(3)
+        assert (report.infinite_cyclic, report.alexander, report.ok) == (False, None, False)
 
     def test_tau_report_ok_needs_every_flag(self):
         report = tau_report(3)

@@ -19,6 +19,7 @@ from knotcert.fileformat import (
     parse_word,
     presentation_to_text,
 )
+from knotcert.presentations import Presentation
 from knotcert.words import Word
 
 
@@ -104,6 +105,27 @@ def test_round_trip_generated_presentations():
         assert reparsed.generators == P.generators
         assert reparsed.relators == P.relators
         assert presentation_to_text(reparsed) == text
+
+
+def test_every_accepted_name_round_trips():
+    # Names drawn from ASCII name characters and from characters isalnum()
+    # accepts outside ASCII (superscript two, alpha, Arabic-Indic three,
+    # sharp s, fullwidth A); every name Presentation takes must come back
+    # from its own file text.
+    rng = random.Random(13)
+    pool = "aZ09_" + "\u00b2\u03b1\u0663\u00df\uff21"
+    accepted = rejected = 0
+    for _ in range(400):
+        name = "".join(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+        try:
+            P = Presentation((name, "y"), [Word([(name, 2), ("y", -3)])])
+        except ValueError:
+            rejected += 1
+            continue
+        accepted += 1
+        text = presentation_to_text(P)
+        assert parse_presentation(text) == P, text
+    assert accepted and rejected
 
 
 def test_printer_format():

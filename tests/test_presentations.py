@@ -34,6 +34,12 @@ class TestPresentation:
         with pytest.raises(ValueError):
             Presentation(("x", "x"))
 
+    def test_names_outside_the_file_format_rejected(self):
+        # isalnum() accepts these, but a presentation file could not name them
+        for name in ("x\u00b2", "\u03b1", "x\u0663"):
+            with pytest.raises(ValueError):
+                Presentation((name, "y"))
+
     def test_foreign_relator_rejected(self):
         with pytest.raises(ForeignGenerator):
             Presentation(("x",), [Word.gen("y")])
