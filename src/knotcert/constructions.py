@@ -428,10 +428,10 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
     ascending, in (p, k) order.
 
     annihilator_poly(j) is computed once for each j in ps or ks, the k-side
-    facts (phi = cyclotomic(k(k+1)), its fold test and divides_in_k) once
-    per k and the p = 1 unit-ideal fact once, so each pair costs one fold
-    test for phi | annihilator_poly(p).  Nothing is kept after the call
-    returns.
+    facts (phi = cyclotomic(k(k+1)), its divisor test and divides_in_k)
+    once per k and the p = 1 unit-ideal fact once, so each pair costs one
+    divisor test for phi | annihilator_poly(p), which its modular residue
+    decides without a fold.  Nothing is kept after the call returns.
     """
     polys = {j: annihilator_poly(j) for j in {*ps, *ks}}
     phis = {k: cyclotomic(k * (k + 1)) for k in ks}

@@ -31,7 +31,11 @@ _INT_RE = re.compile(r"^-?[0-9]+$")
 # no SRE state across tokens, where a fullmatch of a repeated group over
 # the whole word would grow its backtracking stack with the word, and
 # possessive repeats need Python 3.11.
-_TOKEN_RE = re.compile(rf"(?<!\S)({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?(?!\S)")
+_TOKEN = rf"({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?"
+_TOKEN_RE = re.compile(rf"(?<!\S){_TOKEN}(?!\S)")
+# A whole token that _TOKEN_RE does not match: the lookahead fails exactly
+# at the start of a well-formed token.
+_BAD_TOKEN_RE = re.compile(rf"(?<!\S)(?!{_TOKEN}(?!\S))\S+")
 
 
 class PresentationSyntaxError(ValueError):
@@ -76,37 +80,33 @@ def _tokens_with_columns(text_line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text_line)]
 
 
-def _bulk_parse_word(text: str, generators: set[str] | None) -> Word | None:
-    """The word, split and checked by one regex findall; None when a token
-    is malformed, names an unknown generator or has an exponent too long
-    for int()."""
-    pairs = _TOKEN_RE.findall(text)
-    if len(pairs) != len(text.split()):
-        return None
-    if generators is not None and not generators.issuperset([n for n, _ in pairs]):
-        return None
-    try:
-        return Word([(n, int(e) if e else 1) for n, e in pairs])
-    except ValueError:
-        return None
-
-
 def parse_word(text: str, generators: set[str] | None = None, line: int = 1) -> Word:
     """Parse whitespace-separated word tokens; optionally restrict names.
 
-    Only a word the bulk parser rejects goes through the per-token loop,
-    which raises the error of its first bad token, with its column.
+    One regex findall picks out the well-formed tokens; their names and
+    exponents are checked in bulk.  If they pass and are all the tokens,
+    they are the word.  If they pass but a token is malformed, a regex
+    search finds the first such, and only it goes to the per-token
+    parser.  Only an unknown name or an exponent too long for int() makes
+    the tokens be walked one by one.  Either way the error is that of the
+    first bad token, with its column.
     """
-    word = _bulk_parse_word(text, generators)
-    if word is not None:
-        return word
-    syllables = []
-    for token, col in _tokens_with_columns(text):
-        name, exp = _parse_token(token, line, col)
+    pairs = _TOKEN_RE.findall(text)
+    if generators is None or generators.issuperset([n for n, _ in pairs]):
+        try:
+            if len(pairs) == len(text.split()):
+                return Word([(n, int(e) if e else 1) for n, e in pairs])
+            [int(e) for _, e in pairs if e]  # as building the word would
+        except ValueError:  # an exponent too long for int()
+            pass
+        else:
+            bad = _BAD_TOKEN_RE.search(text)
+            _parse_token(bad.group(), line, bad.start() + 1)
+    for m in re.finditer(r"\S+", text):
+        name, _ = _parse_token(m.group(), line, m.start() + 1)
         if generators is not None and name not in generators:
             raise UnknownGenerator(f"line {line}: unknown generator {name!r}")
-        syllables.append((name, exp))
-    return Word(syllables)
+    raise AssertionError("a word the bulk check rejects has a bad token")
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -391,6 +391,28 @@ class TestDistinctnessSweep:
             assert len(decisions) == math.comb(m, 2) + (m - 1), m
         assert divisions == []
 
+    def test_residue_decides_every_pair(self, monkeypatch):
+        # The modular residue proves every pair fact "does not divide"; the
+        # fold runs only for the k-side facts, one per k, which hold.
+        folds = []
+        real = laurent._fold_test
+
+        def counting_fold_test(n, primes):
+            fold = real(n, primes)
+
+            def counted(f):
+                verdict = fold(f)
+                folds.append((n, verdict))
+                return verdict
+
+            return counted
+
+        monkeypatch.setattr(laurent, "_fold_test", counting_fold_test)
+        for m in (2, 8, 19, 60):
+            folds.clear()
+            assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
+            assert folds == [(k * (k + 1), True) for k in range(2, m + 1)], m
+
     def test_shared_work_is_done_once(self, monkeypatch):
         # Calls of annihilator_poly (order_ideal's own call included),
         # cyclotomic, cyclotomic_divisor_test and order_ideal: one

@@ -1,9 +1,11 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
+from knotcert import fileformat
 from knotcert.constructions import (
     double_presentation,
     gamma_presentation,
@@ -195,6 +197,49 @@ def test_long_invalid_word_is_rejected_in_linear_time():
         parse_word(text, {"x", "y"})
     assert time.perf_counter() - start < 1.0
     assert info.value.column == 1
+
+
+def _parse_cost(text, traced):
+    """(error or None, seconds, tracemalloc peak or None) of one parse_word(text, {"x"})."""
+    if traced:
+        tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        parse_word(text, {"x"})
+        error = None
+    except PresentationSyntaxError as exc:
+        error = exc
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1] if traced else None
+    tracemalloc.stop()
+    return error, elapsed, peak
+
+
+def test_late_bad_token_costs_less_than_the_word(monkeypatch):
+    # The error path reuses the bulk findall and hands only the bad token
+    # to the per-token parser; it must not walk or list the tokens before
+    # it.  Time and tracemalloc peak are bounded relative to accepting the
+    # same word without the bad token (measured ratios about 0.8 and 0.55;
+    # listing every earlier token with its column gave 1.4-2.1 and 1.25).
+    parsed = []
+    real_parse_token = fileformat._parse_token
+
+    def counting_parse_token(token, line, column):
+        parsed.append(token)
+        return real_parse_token(token, line, column)
+
+    monkeypatch.setattr(fileformat, "_parse_token", counting_parse_token)
+    word = "x " * 100000
+    error, _, _ = _parse_cost(word + "!", traced=False)
+    assert str(error) == "line 1, column 200001: bad token '!'"
+    assert error.column == 200001
+    assert parsed == ["!"]
+    ok_time = min(_parse_cost(word, traced=False)[1] for _ in range(3))
+    bad_time = min(_parse_cost(word + "!", traced=False)[1] for _ in range(3))
+    assert bad_time < 2 * ok_time, (bad_time, ok_time)
+    small = "x " * 50000
+    ok_peak, bad_peak = _parse_cost(small, traced=True)[2], _parse_cost(small + "!", traced=True)[2]
+    assert bad_peak < 0.8 * ok_peak, (bad_peak, ok_peak)
 
 
 # The parser as it was before the bulk path: every token goes through a

@@ -21,9 +21,11 @@ from knotcert.laurent import (
     SizeTooLarge,
     _divmod_dense,
     _exact_quotient,
+    _fold_test,
     _long_quotient,
     _packed_pays,
     _prime_factors,
+    _root_of_unity_mod_prime,
     _subset_det,
     cyclotomic,
     cyclotomic_divisor_test,
@@ -491,11 +493,39 @@ class TestCyclotomicDivisorTest:
             elif kind == 3:  # a near miss: one coefficient off
                 f = f * cyclotomic(n) + LaurentPoly.t_power(rng.randint(-n, n))
             cases.append((n, f))
+        # ell*(1 + t): a zero residue mod ell that the fold must refuse
+        for n in (3, 12, 197):
+            ell, _ = _root_of_unity_mod_prime(n, _prime_factors(n))
+            cases.append((n, poly({0: ell, 1: ell})))
+        residue_decided = 0
         for n, f in cases:
             expected = divides(cyclotomic(n), f)
+            primes = _prime_factors(n)
+            assert _fold_test(n, primes)(f) == expected, (n, f)
+            # the residue alone, computed here with pow's negative powers
+            ell, r = _root_of_unity_mod_prime(n, primes)
+            if sum(c * pow(r, e, ell) for e, c in f.items()) % ell:
+                assert not expected, (n, f)
+                residue_decided += 1
             assert cyclotomic_divisor_test(n)(f) == expected, (n, f)
             outcomes[expected] += 1
         assert min(outcomes.values()) >= 1000
+        assert residue_decided >= 0.95 * outcomes[False]
+
+    def test_root_of_unity_mod_prime(self):
+        ns = set(range(1, 2001)) | {k * (k + 1) for k in range(1, 401)}
+        setups = {n: _root_of_unity_mod_prime(n, _prime_factors(n)) for n in sorted(ns)}
+        sieve = bytearray([1]) * (max(ell for ell, _ in setups.values()) + 1)
+        sieve[:2] = b"\x00\x00"
+        for i in range(2, math.isqrt(len(sieve) - 1) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
+        for n, (ell, r) in setups.items():
+            assert sieve[ell] and (ell - 1) % n == 0, n
+            assert not any(sieve[j] for j in range(n + 1, ell, n)), n  # the least such prime
+            assert pow(r, n, ell) == 1, n
+            assert all(pow(r, n // q, ell) != 1 for q in _prime_factors(n)), n
+        assert setups[1] == (2, 1)
 
     def test_matches_division_oracle_on_annihilators(self):
         polys = {p: annihilator_poly(p) for p in range(1, 61)}
