@@ -173,6 +173,7 @@ def _cmd_distinct_range(args, out) -> int:
 
 def _cmd_gamma(args, out) -> int:
     art = gamma_artifacts(args.p)
+    rel = art.module_relations
     if args.json:
         payload = {
             "p": art.p,
@@ -181,12 +182,12 @@ def _cmd_gamma(args, out) -> int:
             "degree_map": art.degree_map,
             "annihilator": poly_to_json(art.p_poly),
             "module_relations": [
-                [poly_to_json(art.module_relations.entry(i, j)) for j in range(2)]
-                for i in range(3)
+                [poly_to_json(rel.entry(i, j)) for j in range(rel.cols)]
+                for i in range(rel.rows)
             ],
-            "order_ideal": [poly_to_json(g) for g in art.order_ideal.gens],
-            "fox_ideal_tab": [poly_to_json(g) for g in art.fox_ideal_tab.gens],
-            "fox_ideal_gamma": [poly_to_json(g) for g in art.fox_ideal_gamma.gens],
+            "order_ideal": [poly_to_json(g) for g in art.order_ideal],
+            "fox_ideal_tab": [poly_to_json(g) for g in art.fox_ideal_tab],
+            "fox_ideal_gamma": [poly_to_json(g) for g in art.fox_ideal_gamma],
             "fox_tab_matches_order_ideal": art.fox_tab_matches_order_ideal,
             "fox_gamma_gcd_equals_annihilator": art.fox_gamma_gcd_equals_annihilator,
         }
@@ -206,13 +207,12 @@ def _cmd_gamma(args, out) -> int:
     out.write(f"annihilator polynomial: {art.p_poly}\n")
     out.write(f"  coefficients (ascending from t^0): {_coeff_line(art.p_poly)}\n\n")
     out.write("module relation matrix (columns a, b):\n")
-    rel = art.module_relations
     for i in range(rel.rows):
         out.write(
             "  [" + ", ".join(str(rel.entry(i, j)) for j in range(rel.cols)) + "]\n"
         )
     out.write("\norder ideal generators:\n")
-    for g in art.order_ideal.gens:
+    for g in art.order_ideal:
         out.write(f"  {g}\n")
     out.write("\nfox-calculus cross-checks:\n")
     out.write(

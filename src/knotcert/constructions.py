@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fox import (
-    IdealGenerators,
     NotInfiniteCyclicAbelianization,
     alexander_matrix,
     alexander_polynomial,
@@ -379,7 +378,7 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
     raise ValueError(f"unknown form {form!r}")
 
 
-def order_ideal(p: int) -> tuple[Matrix, IdealGenerators]:
+def order_ideal(p: int) -> tuple[Matrix, tuple[LaurentPoly, ...]]:
     """The relation matrix of the Alexander module of gamma_presentation(p)
     and its order ideal.
 
@@ -387,7 +386,7 @@ def order_ideal(p: int) -> tuple[Matrix, IdealGenerators]:
     over Z[t, t^-1] with pp = annihilator_poly(p); the relation matrix is
     3x2, one row per relation and the columns a, b.  The order ideal is the
     ideal of 2x2 minors of the relation matrix, generated by pp^2 and
-    (t-1) pp (the unit ideal when p = 1, since pp(1) is the constant 1).
+    (t-1) pp; it is the unit ideal when p = 1, where pp is the constant 1.
     """
     if p < 1:
         raise InvalidP(f"need p >= 1, got {p}")
@@ -407,8 +406,9 @@ class DistinctnessCertificate:
     everything in that ideal; Phi not dividing annihilator_poly(p) means
     (being irreducible) it misses pp_p^2, which lies in the other ideal.
 
-    unit_ideal mode (p = 1): the p = 1 ideal is the whole ring while the
-    k ideal is proper, certified by the common cyclotomic divisor.
+    unit_ideal mode (p = 1): annihilator_poly(1) is the unit 1, so the
+    p = 1 order ideal, which contains its square, is the whole ring, while
+    the k ideal is proper, certified by the common cyclotomic divisor.
     """
 
     p: int
@@ -439,7 +439,9 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
     # phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1), so it divides
     # both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or neither.
     in_k = {k: in_phis[k](polys[k]) for k in ks}
-    p1_ideal_is_unit = 1 in ps and order_ideal(1)[1].is_unit_ideal()
+    # The order ideal of p contains pp_p^2 (see order_ideal), so a unit
+    # pp_1 makes the p = 1 ideal the whole ring.
+    p1_ideal_is_unit = 1 in ps and polys[1].is_unit()
     certs = []
     for p in ps:
         for k in ks:
@@ -508,9 +510,9 @@ class GammaArtifacts:
     degree_map: dict[str, int]
     p_poly: LaurentPoly
     module_relations: Matrix
-    order_ideal: IdealGenerators
-    fox_ideal_tab: IdealGenerators
-    fox_ideal_gamma: IdealGenerators
+    order_ideal: tuple[LaurentPoly, ...]
+    fox_ideal_tab: tuple[LaurentPoly, ...]
+    fox_ideal_gamma: tuple[LaurentPoly, ...]
     fox_tab_matches_order_ideal: bool
     fox_gamma_gcd_equals_annihilator: bool
 
@@ -535,7 +537,6 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
         alexander_matrix(tab_presentation, abelianization(tab_presentation).degree_map), 1
     )
     fox_gamma = elementary_ideal(alexander_matrix(presentation, degree_map), 1)
-    gamma_gcd = laurent_gcd(fox_gamma.gens) if fox_gamma.gens else LaurentPoly.zero()
     return GammaArtifacts(
         p=p,
         presentation=presentation,
@@ -546,6 +547,6 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
         order_ideal=ideal,
         fox_ideal_tab=fox_tab,
         fox_ideal_gamma=fox_gamma,
-        fox_tab_matches_order_ideal=set(fox_tab.gens) == set(ideal.gens),
-        fox_gamma_gcd_equals_annihilator=gamma_gcd == poly,
+        fox_tab_matches_order_ideal=set(fox_tab) == set(ideal),
+        fox_gamma_gcd_equals_annihilator=laurent_gcd(fox_gamma) == poly,
     )

@@ -19,23 +19,22 @@ byte.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .presentations import NAME_PATTERN, Presentation
 from .words import Word
 
 _NAME_RE = re.compile(NAME_PATTERN)
 _INT_RE = re.compile(r"^-?[0-9]+$")
-# A whole whitespace-delimited token that is ``name`` or ``name^k`` with
-# k nonzero, as (name, digits of k or "").  A word is well formed exactly
-# when findall returns one match per token.  Matching token by token keeps
-# no SRE state across tokens, where a fullmatch of a repeated group over
-# the whole word would grow its backtracking stack with the word, and
-# possessive repeats need Python 3.11.
-_TOKEN = rf"({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?"
-_TOKEN_RE = re.compile(rf"(?<!\S){_TOKEN}(?!\S)")
-# A whole token that _TOKEN_RE does not match: the lookahead fails exactly
-# at the start of a well-formed token.
-_BAD_TOKEN_RE = re.compile(rf"(?<!\S)(?!{_TOKEN}(?!\S))\S+")
+# Every whole whitespace-delimited token, as (name, digits of k or "", "")
+# when it is ``name`` or ``name^k`` with k nonzero, and as ("", "", token)
+# when it is malformed.  Matching token by token keeps no SRE state across
+# tokens, where a fullmatch of a repeated group over the whole word would
+# grow its backtracking stack with the word, and possessive repeats need
+# Python 3.11.
+_TOKEN_RE = re.compile(
+    rf"(?<!\S)(?:({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?(?!\S)|(\S+))"
+)
 
 
 class PresentationSyntaxError(ValueError):
@@ -83,30 +82,30 @@ def _tokens_with_columns(text_line: str) -> list[tuple[str, int]]:
 def parse_word(text: str, generators: set[str] | None = None, line: int = 1) -> Word:
     """Parse whitespace-separated word tokens; optionally restrict names.
 
-    One regex findall picks out the well-formed tokens; their names and
-    exponents are checked in bulk.  If they pass and are all the tokens,
-    they are the word.  If they pass but a token is malformed, a regex
-    search finds the first such, and only it goes to the per-token
-    parser.  Only an unknown name or an exponent too long for int() makes
-    the tokens be walked one by one.  Either way the error is that of the
-    first bad token, with its column.
+    One regex findall splits the text into tokens and picks out the
+    malformed ones; the names and exponents are then checked in bulk.  If
+    they pass, the tokens are the word.  Otherwise the first offending
+    token, malformed, naming an unknown generator or with an exponent too
+    long for int(), is the only one handed to the per-token parser, and
+    its error is raised with its column.
     """
-    pairs = _TOKEN_RE.findall(text)
-    if generators is None or generators.issuperset([n for n, _ in pairs]):
+    tokens = _TOKEN_RE.findall(text)
+    names = [n for n, _, _ in tokens]
+    if "" not in names and (generators is None or generators.issuperset(names)):
         try:
-            if len(pairs) == len(text.split()):
-                return Word([(n, int(e) if e else 1) for n, e in pairs])
-            [int(e) for _, e in pairs if e]  # as building the word would
+            return Word([(n, int(e) if e else 1) for n, e, _ in tokens])
         except ValueError:  # an exponent too long for int()
             pass
-        else:
-            bad = _BAD_TOKEN_RE.search(text)
-            _parse_token(bad.group(), line, bad.start() + 1)
-    for m in re.finditer(r"\S+", text):
-        name, _ = _parse_token(m.group(), line, m.start() + 1)
-        if generators is not None and name not in generators:
-            raise UnknownGenerator(f"line {line}: unknown generator {name!r}")
-    raise AssertionError("a word the bulk check rejects has a bad token")
+    for i, (name, exp, bad) in enumerate(tokens):
+        if bad or (generators is not None and name not in generators):
+            break
+        try:
+            int(exp or 1)
+        except ValueError:
+            break
+    m = next(islice(re.finditer(r"\S+", text), i, None))
+    name, _ = _parse_token(m.group(), line, m.start() + 1)
+    raise UnknownGenerator(f"line {line}: unknown generator {name!r}")
 
 
 def parse_presentation(text: str) -> Presentation:

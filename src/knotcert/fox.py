@@ -26,8 +26,6 @@ quotients to 3x2 for every p.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .intlinalg import Matrix
@@ -207,49 +205,26 @@ def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> Matrix:
     return fox_matrix(P.generators, P.relators, degree_map)
 
 
-@dataclass(frozen=True)
-class IdealGenerators:
-    """Canonical generator list for an ideal of Z[t, t^-1]: no zeros, all
-    canonical, deduplicated; collapses to (1,) when any generator is a
-    unit, since the ideal is then the whole ring.
-    """
-
-    gens: tuple[LaurentPoly, ...]
-
-    def is_unit_ideal(self) -> bool:
-        """True when the integer gcd of the constant generators is 1, which
-        by Bezout puts 1 in the ideal; a unit generator is the constant 1.
-
-        Sound but not complete: (1 + t, 2 + t) is the unit ideal, since
-        (2 + t) - (1 + t) = 1, yet it has no constant generator and reads
-        False.
-
-        >>> IdealGenerators((LaurentPoly({0: 2}), LaurentPoly({0: 3}))).is_unit_ideal()
-        True
-        """
-        # canonical generators have min_exp 0, so the constants have max_exp 0
-        return math.gcd(*(g.coeff(0) for g in self.gens if g.max_exp() == 0)) == 1
-
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
-
-def elementary_ideal(M: Matrix, k: int) -> IdealGenerators:
+def elementary_ideal(M: Matrix, k: int) -> tuple[LaurentPoly, ...]:
     """The k-th elementary (Fitting) ideal: the ideal of (n-k) x (n-k)
-    minors, n = column count.  E_k for k >= n is the whole ring; when
-    n - k exceeds the row count the ideal is zero.
+    minors, n = column count, as its generators.  E_k for k >= n is the
+    whole ring; when n - k exceeds the row count the ideal is zero.
+
+    The generators are canonical, nonzero and deduplicated, and collapse
+    to (1,) when any of them is a unit, since the ideal is then the whole
+    ring; the zero ideal is ().
     """
     n = M.cols
     if k >= n:
-        return IdealGenerators(gens=(LaurentPoly.one(),))
+        return (LaurentPoly.one(),)
     size = n - k
     if size > M.rows:
-        return IdealGenerators(gens=())
+        return ()
     # minors are already canonical, nonzero and deduplicated
     gens = tuple(minors(M, size))
     if LaurentPoly.one() in gens:
-        gens = (LaurentPoly.one(),)
-    return IdealGenerators(gens=gens)
+        return (LaurentPoly.one(),)
+    return gens
 
 
 def _eliminate_unit_pivots(M: Matrix) -> Matrix:
@@ -305,7 +280,4 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
             f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
         )
     M = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, ab.degree_map))
-    ideal = elementary_ideal(M, 1)
-    if ideal.is_zero_ideal():
-        return LaurentPoly.zero()
-    return laurent_gcd(ideal.gens)
+    return laurent_gcd(elementary_ideal(M, 1))

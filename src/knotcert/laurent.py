@@ -61,10 +61,6 @@ class InvalidIndex(ValueError):
     """Cyclotomic index must be a positive integer."""
 
 
-class AllZero(ValueError):
-    """gcd of an empty or all-zero family is undefined."""
-
-
 class SizeTooLarge(ValueError):
     """Requested minor size exceeds a matrix dimension."""
 
@@ -651,11 +647,13 @@ def laurent_gcd(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     """Canonical gcd of a family of Laurent polynomials.
 
     Computed as the gcd of the integer contents times the gcd of the
-    primitive parts; the result divides every input and is canonical.
+    primitive parts; the result divides every input and is canonical.  A
+    family with no nonzero member, the empty one included, generates the
+    zero ideal, whose generator is 0.
     """
     nonzero = [f for f in polys if not f.is_zero()]
     if not nonzero:
-        raise AllZero("gcd requires at least one nonzero polynomial")
+        return LaurentPoly.zero()
     content = 0
     for f in nonzero:
         content = math.gcd(content, f.content())

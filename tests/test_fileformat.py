@@ -242,6 +242,44 @@ def test_late_bad_token_costs_less_than_the_word(monkeypatch):
     assert bad_peak < 0.8 * ok_peak, (bad_peak, ok_peak)
 
 
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("z", "line 1: unknown generator 'z'"),
+        ("x^" + "7" * 5000, "line 1, column 200001: exponent of 'x' has too many digits (5000)"),
+    ],
+    ids=["unknown-name", "long-exponent"],
+)
+def test_late_unknown_name_or_long_exponent_costs_less_than_the_word(monkeypatch, last, message):
+    # A well-formed token that names an unknown generator or has an
+    # exponent too long for int() is found from the bulk findall too: only
+    # it reaches the per-token parser, and rejecting the word costs less
+    # than twice accepting it without that token.
+    parsed = []
+    real_parse_token = fileformat._parse_token
+
+    def counting_parse_token(token, line, column):
+        parsed.append(token)
+        return real_parse_token(token, line, column)
+
+    monkeypatch.setattr(fileformat, "_parse_token", counting_parse_token)
+    word = "x " * 100000
+
+    def cost(text):
+        start = time.perf_counter()
+        try:
+            parse_word(text, {"x"})
+        except (PresentationSyntaxError, UnknownGenerator) as exc:
+            assert str(exc) == message
+        return time.perf_counter() - start
+
+    cost(word + last)
+    assert parsed == [last]
+    ok_time = min(cost(word) for _ in range(3))
+    bad_time = min(cost(word + last) for _ in range(3))
+    assert bad_time < 2 * ok_time, (bad_time, ok_time)
+
+
 # The parser as it was before the bulk path: every token goes through a
 # regex, a partition, two more regex matches and an int.  Kept as the
 # oracle for parse_word's results and for its errors and their columns.
