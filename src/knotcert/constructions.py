@@ -13,8 +13,9 @@ cyclotomic divisibility.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .fox import (
     NotInfiniteCyclicAbelianization,
@@ -26,7 +27,7 @@ from .intlinalg import Matrix
 from .laurent import (
     LaurentPoly,
     cyclotomic,
-    cyclotomic_divisor_test,
+    cyclotomic_multiplicity,
     divide_exact,
     laurent_gcd,
 )
@@ -57,8 +58,10 @@ class MismatchError(AssertionError):
     """The two independent routes to the same presentation disagree.
 
     Raised by gamma_tab_presentation when rewriting the four-generator
-    presentation does not reproduce the closed-form relators; this is a
-    built-in fidelity check, so a raise means an implementation bug.
+    presentation does not reproduce the closed-form relators, and by the
+    certificate producer when an annihilator polynomial does not equal its
+    quotient of binomials; these are built-in fidelity checks, so a raise
+    means an implementation bug.
     """
 
 
@@ -351,6 +354,23 @@ def derive_gamma_consistency(p: int) -> ConsistencyReport:
     return ConsistencyReport(p=p, verified=verified, steps=tuple(steps))
 
 
+def _annihilator_binomials(p: int) -> Counter[int]:
+    """{a: s} with annihilator_poly(p) = prod (t^a - 1)^s, the closed form
+    (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1)); for p = 1 every
+    s is 0.  As a Counter, its elements() are the numerator's exponents
+    and those of its negation the denominator's."""
+    binomials = Counter((p * (p + 1), 1))
+    binomials.subtract((p, p + 1))
+    return binomials
+
+
+def _times_binomials(f: LaurentPoly, exponents: Iterable[int]) -> LaurentPoly:
+    """f * prod (t^a - 1) over exponents, each factor as f.shifted(a) - f."""
+    for a in exponents:
+        f = f.shifted(a) - f
+    return f
+
+
 def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
     """The polynomial annihilating each generator of the Alexander module
     of gamma_presentation(p); equals the Alexander polynomial of the
@@ -370,10 +390,9 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
         ) - LaurentPoly([(k * (p + 1) + 1, 1) for k in range(p)])
         return poly.canonical()
     if form == "closed":
-        tpow = LaurentPoly.t_power
-        one = LaurentPoly.one()
-        num = (tpow(p * (p + 1)) - one) * (tpow(1) - one)
-        den = (tpow(p + 1) - one) * (tpow(p) - one)
+        binomials = _annihilator_binomials(p)
+        num = _times_binomials(LaurentPoly.one(), binomials.elements())
+        den = _times_binomials(LaurentPoly.one(), (-binomials).elements())
         return divide_exact(num, den).canonical()
     raise ValueError(f"unknown form {form!r}")
 
@@ -409,6 +428,10 @@ class DistinctnessCertificate:
     unit_ideal mode (p = 1): annihilator_poly(1) is the unit 1, so the
     p = 1 order ideal, which contains its square, is the whole ring, while
     the k ideal is proper, certified by the common cyclotomic divisor.
+
+    divides_in_k and divides_in_p are read off the multiplicity of Phi in
+    the annihilator polynomials as quotients of binomials
+    (cyclotomic_multiplicity); phi itself is carried for printing.
     """
 
     p: int
@@ -427,18 +450,27 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
     """The certificate for every pair p < k with p in ps and k in ks, both
     ascending, in (p, k) order.
 
-    annihilator_poly(j) is computed once for each j in ps or ks, the k-side
-    facts (phi = cyclotomic(k(k+1)), its divisor test and divides_in_k)
-    once per k and the p = 1 unit-ideal fact once, so each pair costs one
-    divisor test for phi | annihilator_poly(p), which its modular residue
-    decides without a fold.  Nothing is kept after the call returns.
+    annihilator_poly(j) is computed once for each j in ps or ks, and
+    checked once against its quotient of binomials (_annihilator_binomials)
+    by one sparse product, MismatchError if they differ.  Every
+    divisibility fact is then cyclotomic_multiplicity >= 1 on those
+    exponents: phi = cyclotomic(k(k+1)) and divides_in_k once per k, the
+    p = 1 unit-ideal fact once, and for each pair one sum over at most four
+    exponents, with no polynomial division.  Nothing is kept after the call
+    returns.
     """
     polys = {j: annihilator_poly(j) for j in {*ps, *ks}}
+    binomials = {j: _annihilator_binomials(j) for j in polys}
+    for j, poly in polys.items():
+        num = _times_binomials(LaurentPoly.one(), binomials[j].elements())
+        if _times_binomials(poly, (-binomials[j]).elements()) != num:
+            raise MismatchError(
+                f"annihilator_poly({j}) = {poly} is not the quotient {dict(binomials[j])}"
+            )
     phis = {k: cyclotomic(k * (k + 1)) for k in ks}
-    in_phis = {k: cyclotomic_divisor_test(k * (k + 1)) for k in ks}
     # phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1), so it divides
     # both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or neither.
-    in_k = {k: in_phis[k](polys[k]) for k in ks}
+    in_k = {k: cyclotomic_multiplicity(k * (k + 1), binomials[k]) >= 1 for k in ks}
     # The order ideal of p contains pp_p^2 (see order_ideal), so a unit
     # pp_1 makes the p = 1 ideal the whole ring.
     p1_ideal_is_unit = 1 in ps and polys[1].is_unit()
@@ -447,7 +479,7 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
         for k in ks:
             if k <= p:
                 continue
-            divides_in_p = in_phis[k](polys[p])
+            divides_in_p = cyclotomic_multiplicity(k * (k + 1), binomials[p]) >= 1
             # The one place the mode and validity rules live.
             if p >= 2:
                 mode = "cyclotomic"

@@ -29,12 +29,10 @@ already divides, which ends the sequence.
 :func:`laurent_det` packs every entry at a width an a-priori norm bound
 makes exact, takes one determinant over Z, and reads the coefficients
 back: no Laurent product or division runs inside a determinant.
-:func:`cyclotomic_divisor_test` decides whether cyclotomic(n) divides a
-polynomial without dividing: one evaluation at an n-th root of unity
-mod a prime proves most non-divisibility, and only a zero residue is
-decided by folding the exponents mod n.
 :func:`cyclotomic` is a Moebius product of binomials 1 - t^d, run on a
 dense series truncated at degree phi(n); nothing in this module is cached.
+:func:`cyclotomic_multiplicity` reads how often cyclotomic(n) divides a
+product of binomials t^a - 1 off the exponents, with no polynomial built.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import math
 import operator
 import struct
 import sys
-from typing import Callable, Iterable
+from typing import Iterable, Mapping
 
 from .intlinalg import Matrix, bareiss_det
 
@@ -210,9 +208,6 @@ class LaurentPoly:
     def content(self) -> int:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self._coeffs.values()) if self._coeffs else 0
-
-    def value_at_one(self) -> int:
-        return sum(self._coeffs.values())
 
     def dense_coeffs(self) -> list[int]:
         """Coefficients from min_exp to max_exp inclusive ([] for zero)."""
@@ -497,9 +492,8 @@ def cyclotomic(n: int) -> LaurentPoly:
     polynomials", Math. Comp. 80, 2011), as a dense power series truncated
     at degree phi(n), with no cache.  For n >= 2 the mu(n/d) sum to 0, so
     this equals the product of (t^d - 1)^mu(n/d) with no sign fix-up.
-    Over Z, a primitive n-th root of unity is a root of f exactly when
-    cyclotomic(n) divides f; :func:`cyclotomic_divisor_test` decides that
-    without building cyclotomic(n).
+    For f a product of binomials t^a - 1, :func:`cyclotomic_multiplicity`
+    decides whether cyclotomic(n) divides f without building it.
 
     >>> str(cyclotomic(12))
     '1 - t^2 + t^4'
@@ -526,93 +520,26 @@ def cyclotomic(n: int) -> LaurentPoly:
     return LaurentPoly._from_dense(series)
 
 
-def _root_of_unity_mod_prime(n: int, primes: list[int]) -> tuple[int, int]:
-    """(ell, r): the least prime ell = 1 mod n, by trial division, and
-    r = g^((ell - 1)/n) mod ell for the first g = 2, 3, ... that gives r
-    order exactly n (r^(n/q) != 1 for each q in primes, those of n); a
-    primitive root of ell passes.  For n = 1, r = 1, not g mod 2 = 0.
+def cyclotomic_multiplicity(n: int, binomials: Mapping[int, int]) -> int:
+    """The multiplicity of cyclotomic(n) in f = prod (t^a - 1)^s over the
+    pairs a: s of binomials, every a >= 1; when f lies in Z[t, t^-1],
+    cyclotomic(n) divides f exactly when the result is at least 1.
 
-    >>> _root_of_unity_mod_prime(12, [2, 3]), _root_of_unity_mod_prime(1, [])
-    ((13, 2), (2, 1))
-    """
-    if n == 1:
-        return 2, 1
-    ell = n + 1
-    while _prime_factors(ell) != [ell]:
-        ell += n
-    rs = (pow(g, (ell - 1) // n, ell) for g in itertools.count(2))
-    return ell, next(r for r in rs if all(pow(r, n // q, ell) != 1 for q in primes))
+    t^a - 1 is the product of the cyclotomic(d) over d | a, each once, and
+    the cyclotomic(d) are irreducible and pairwise distinct.  So over Q[t]
+    f has cyclotomic(n) to the power sum(s for a with n | a), and no
+    polynomial is built.  cyclotomic(n) is monic, so by Gauss's lemma it
+    divides f in Z[t] exactly when it does in Q[t]; it does not vanish at
+    0, so it is prime to t and the same holds in Z[t, t^-1].  The rule
+    trusts that the binomials describe f: a caller holding f checks that.
 
-
-def _fold_test(n: int, primes: list[int]) -> Callable[[LaurentPoly], bool]:
-    """The fold of :func:`cyclotomic_divisor_test`; primes are those of n."""
-    kernel: dict[int, int] = {0: 1}
-    for q in primes:
-        for e, c in list(kernel.items()):  # times 1 - t^(n/q), mod t^n - 1
-            shifted = (e + n // q) % n
-            kernel[shifted] = kernel.get(shifted, 0) - c
-    kernel_terms = [(e, c) for e, c in kernel.items() if c]
-
-    def divides_by_folding(f: LaurentPoly) -> bool:
-        acc: dict[int, int] = {}
-        for e, c in f._coeffs.items():
-            for s, w in kernel_terms:
-                i = (e + s) % n
-                acc[i] = acc.get(i, 0) + c * w
-        return not any(acc.values())
-
-    return divides_by_folding
-
-
-def cyclotomic_divisor_test(n: int) -> Callable[[LaurentPoly], bool]:
-    """The predicate f -> (cyclotomic(n) divides f in Z[t, t^-1]), decided
-    without building or dividing by cyclotomic(n).
-
-    First, a one-sided proof of non-divisibility at r, a residue of order
-    exactly n mod the least prime ell = 1 mod n
-    (:func:`_root_of_unity_mod_prime`).  r is a root of t^n - 1, the
-    product of the cyclotomic(d), d | n, so of one of them as ell is
-    prime, and of no t^d - 1 for d | n proper, which cyclotomic(d)
-    divides.  So cyclotomic(n)(r) = 0 mod ell, and a nonzero
-    f(r) = sum c*r^(e mod n) mod ell proves cyclotomic(n) does not divide f.
-
-    Only a zero residue reaches the fold, which decides exactly.  It
-    folds the exponents of f mod n and multiplies by
-    K = prod (1 - t^(n/q)) over the primes q | n, mod t^n - 1; cyclotomic(n)
-    divides f exactly when the result is 0.  t^n - 1 is squarefree over Q.
-    K vanishes at every primitive d-th root of unity for d | n proper,
-    since d divides some n/q, and not at a primitive n-th root.  So by the
-    Chinese remainder theorem f*K = 0 mod t^n - 1 exactly when f vanishes
-    at a primitive n-th root, and cyclotomic(n) is monic, so by Gauss's
-    lemma divisibility over Q is divisibility over Z.
-
-    n is factored, ell and r found and the 2^omega(n) terms of K expanded
-    once, here.  Each call costs nnz(f) products mod ell, with r^i kept
-    per exponent class i met (never a table of size n), plus the fold's
-    nnz(f)*2^omega(n) dict operations on a zero residue, as every
-    multiple of cyclotomic(n) has.  The zero polynomial is divisible.
-
-    >>> in_phi_12 = cyclotomic_divisor_test(12)
-    >>> in_phi_12(LaurentPoly({4: 1, 2: -1, 0: 1}).shifted(-7)), in_phi_12(LaurentPoly({2: 1, 0: -1}))
-    (True, False)
+    >>> cyclotomic_multiplicity(12, {12: 1, 1: 1, 3: -1, 4: -1})
+    1
+    >>> cyclotomic_multiplicity(2, {12: 1, 1: 1, 3: -1, 4: -1})
+    0
     """
     _check_index(n)
-    primes = _prime_factors(n)
-    ell, r = _root_of_unity_mod_prime(n, primes)
-    folds_to_zero = _fold_test(n, primes)
-    powers: dict[int, int] = {}
-
-    def divides_cyclotomic(f: LaurentPoly) -> bool:
-        residue = 0
-        for e, c in f._coeffs.items():
-            i = e % n
-            power = powers.get(i)
-            if power is None:
-                power = powers[i] = pow(r, i, ell)
-            residue += c * power
-        return not residue % ell and folds_to_zero(f)
-
-    return divides_cyclotomic
+    return sum(s for a, s in binomials.items() if a % n == 0)
 
 
 def _primitive_part(f: LaurentPoly) -> LaurentPoly:

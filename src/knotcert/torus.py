@@ -26,7 +26,9 @@ from .words import ForeignGenerator, Word
 
 
 class BadParams(ValueError):
-    """Torus knot parameters must be coprime with p >= 2 and q >= 2 here."""
+    """Torus knot parameters must be coprime with p >= 1 and q >= 2
+    (present --p 1 --form standard builds <x, y | x y^2>); normal_form and
+    is_in_commutator_subgroup also need p >= 2 and q >= 2."""
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,6 @@ class TorusNF:
 
     def is_trivial(self) -> bool:
         return self.central_exponent == 0 and not self.syllables
-
-    def as_word(self) -> Word:
-        return Word.gen("x", self.params.p * self.central_exponent) * Word(
-            self.syllables
-        )
 
     def __str__(self) -> str:
         if self.is_trivial():

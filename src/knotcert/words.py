@@ -115,9 +115,6 @@ class Word:
             out.extend([(g, step)] * abs(e))
         return out
 
-    def exponent_sum(self, gen: str) -> int:
-        return sum(e for g, e in self.syllables if g == gen)
-
     def exponent_sums(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for g, e in self.syllables:

@@ -311,20 +311,25 @@ class TestDistinctness:
         # On real inputs phi never divides annihilator_poly(p) for p < k and
         # annihilator_poly(1) is always a unit; faked facts show that the
         # rule still reads each one, in the sweep and for a single pair.
-        def non_unit_at_1(p, form="sum"):
-            return annihilator_poly(2 if p == 1 else p, form)
-
-        for name, fake, verdicts in (
-            ("cyclotomic_divisor_test", lambda n: lambda f: True, [True, True, False]),
-            ("cyclotomic_divisor_test", lambda n: lambda f: False, [False, False, False]),
-            ("annihilator_poly", non_unit_at_1, [False, False, True]),
+        # A non-unit at 1 takes the binomials of 2 as well, so that it passes
+        # the identity check.
+        real_binomials = constructions._annihilator_binomials
+        non_unit_at_1 = {
+            "annihilator_poly": lambda p, form="sum": annihilator_poly(2 if p == 1 else p, form),
+            "_annihilator_binomials": lambda p: real_binomials(2 if p == 1 else p),
+        }
+        for fakes, verdicts in (
+            ({"cyclotomic_multiplicity": lambda n, binomials: 1}, [True, True, False]),
+            ({"cyclotomic_multiplicity": lambda n, binomials: 0}, [False, False, False]),
+            (non_unit_at_1, [False, False, True]),
         ):
             with monkeypatch.context() as m:
-                m.setattr(constructions, name, fake)
+                for name, fake in fakes.items():
+                    m.setattr(constructions, name, fake)
                 certs = distinctness_certificates(1, 3)
                 singles = [distinctness_certificate(c.p, c.k) for c in certs]
             assert [c.mode for c in certs] == ["unit_ideal", "unit_ideal", "cyclotomic"]
-            assert [c.valid for c in certs] == [c.valid for c in singles] == verdicts, name
+            assert [c.valid for c in certs] == [c.valid for c in singles] == verdicts, fakes
 
     def test_matches_order_ideal_rule(self, order_ideals):
         # Oracle for the one-division rule: the p = 1 certificate used to
@@ -378,55 +383,61 @@ class TestDistinctnessSweep:
             distinctness_certificates(5, 3)
         assert distinctness_certificates(3, 3) == []
 
-    def test_one_fold_test_per_pair(self, monkeypatch):
-        # One fold kernel per k; C(m, 2) pair decisions plus one k-side
-        # decision per k, and the p = 1 pairs add none.  No division runs
-        # at all, neither long nor packed.
-        builds, decisions, divisions = [], [], []
-        real = constructions.cyclotomic_divisor_test
+    def test_decides_every_fact_by_multiplicity_without_division(self, monkeypatch):
+        # C(m, 2) pair decisions plus one k-side decision per k, each a
+        # cyclotomic multiplicity; one identity check per parameter j, that
+        # is annihilator_poly(j) times (t^j - 1)(t^(j+1) - 1) against the
+        # numerator (t^(j(j+1)) - 1)(t - 1), built from 1 (for j = 1 both
+        # products are empty); no division at all, neither long nor packed.
+        decisions, products, divisions = [], [], []
+        real_multiplicity = constructions.cyclotomic_multiplicity
+        real_times = constructions._times_binomials
         monkeypatch.setattr(laurent, "_divmod_dense", lambda num, den: divisions.append(den))
         monkeypatch.setattr(laurent, "_exact_quotient", lambda num, den: divisions.append(den))
 
-        def counting_test(n):
-            builds.append(n)
-            in_phi = real(n)
-            return lambda f: decisions.append(n) or in_phi(f)
+        def counting_multiplicity(n, binomials):
+            decisions.append(n)
+            return real_multiplicity(n, binomials)
 
-        monkeypatch.setattr(constructions, "cyclotomic_divisor_test", counting_test)
-        for m in (1, 2, 3, 8, 19):
-            builds.clear()
+        def counting_times(f, exponents):
+            exponents = tuple(exponents)
+            products.append((f, exponents))
+            return real_times(f, exponents)
+
+        monkeypatch.setattr(constructions, "cyclotomic_multiplicity", counting_multiplicity)
+        monkeypatch.setattr(constructions, "_times_binomials", counting_times)
+        for m in (1, 2, 3, 8, 19, 60):
             decisions.clear()
+            products.clear()
             assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            assert builds == [k * (k + 1) for k in range(2, m + 1)], m
             assert len(decisions) == math.comb(m, 2) + (m - 1), m
+            expected = [(ONE, (j * (j + 1), 1)) for j in range(2, m + 1)]
+            expected += [(annihilator_poly(j), (j, j + 1)) for j in range(2, m + 1)]
+            if m > 1:  # j = 1
+                expected += [(ONE, ()), (ONE, ())]
+            assert sorted(products, key=repr) == sorted(expected, key=repr), m
         assert divisions == []
 
-    def test_residue_decides_every_pair(self, monkeypatch):
-        # The modular residue proves every pair fact "does not divide"; the
-        # fold runs only for the k-side facts, one per k, which hold.
-        folds = []
-        real = laurent._fold_test
+    def test_annihilator_that_is_not_its_binomial_quotient_is_refused(self, monkeypatch, capsys):
+        # A wrong annihilator_poly(2), (1 + t) times the right one, fails the
+        # identity check: the library raises and the CLI prints nothing.
+        def wrong_at_2(p, form="sum"):
+            poly = annihilator_poly(p, form)
+            return poly * LaurentPoly({0: 1, 1: 1}) if p == 2 else poly
 
-        def counting_fold_test(n, primes):
-            fold = real(n, primes)
-
-            def counted(f):
-                verdict = fold(f)
-                folds.append((n, verdict))
-                return verdict
-
-            return counted
-
-        monkeypatch.setattr(laurent, "_fold_test", counting_fold_test)
-        for m in (2, 8, 19, 60):
-            folds.clear()
-            assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            assert folds == [(k * (k + 1), True) for k in range(2, m + 1)], m
+        monkeypatch.setattr(constructions, "annihilator_poly", wrong_at_2)
+        with pytest.raises(constructions.MismatchError, match=r"annihilator_poly\(2\)"):
+            distinctness_certificates(1, 5)
+        out = io.StringIO()
+        assert cli.run(["distinct-range", "--min", "1", "--max", "5"], out) == 3
+        assert out.getvalue() == ""
+        assert "internal invariant violated" in capsys.readouterr().err
 
     def test_shared_work_is_done_once(self, monkeypatch):
-        # Calls of annihilator_poly, cyclotomic, cyclotomic_divisor_test and
-        # order_ideal: one annihilator per parameter, one k-side build per k,
-        # and no order ideal, even when p = 1 is in play.
+        # Calls of annihilator_poly, cyclotomic, cyclotomic_multiplicity and
+        # order_ideal: one annihilator per parameter, one phi per k, one
+        # multiplicity per k-side fact and per pair, and no order ideal,
+        # even when p = 1 is in play.
         calls = {}
 
         def counting(name):
@@ -438,13 +449,13 @@ class TestDistinctnessSweep:
 
             return spy
 
-        names = ("annihilator_poly", "cyclotomic", "cyclotomic_divisor_test", "order_ideal")
+        names = ("annihilator_poly", "cyclotomic", "cyclotomic_multiplicity", "order_ideal")
         for name in names:
             monkeypatch.setattr(constructions, name, counting(name))
         for produce, expected in (
-            (lambda: distinctness_certificates(1, 12), (12, 11, 11, 0)),
-            (lambda: distinctness_certificate(3, 7), (2, 1, 1, 0)),
-            (lambda: distinctness_certificate(1, 7), (2, 1, 1, 0)),
+            (lambda: distinctness_certificates(1, 12), (12, 11, 11 + 66, 0)),
+            (lambda: distinctness_certificate(3, 7), (2, 1, 2, 0)),
+            (lambda: distinctness_certificate(1, 7), (2, 1, 2, 0)),
         ):
             calls.update(dict.fromkeys(names, 0))
             produce()

@@ -20,14 +20,12 @@ from knotcert.laurent import (
     SizeTooLarge,
     _divmod_dense,
     _exact_quotient,
-    _fold_test,
     _long_quotient,
     _packed_pays,
     _prime_factors,
-    _root_of_unity_mod_prime,
     _subset_det,
     cyclotomic,
-    cyclotomic_divisor_test,
+    cyclotomic_multiplicity,
     divide_exact,
     divides,
     laurent_det,
@@ -466,73 +464,75 @@ class TestCyclotomic:
         assert held == []
 
 
-class TestCyclotomicDivisorTest:
+def binomial_quotient(pairs):
+    """({a: s}, f) for f = prod (t^a - 1)^s over the pairs (a, s), repeats
+    summed, or None when f is no polynomial."""
+    binomials = {}
+    for a, s in pairs:
+        binomials[a] = binomials.get(a, 0) + s
+    num = den = ONE
+    for a, s in binomials.items():
+        factor = (LaurentPoly.t_power(a) - ONE) ** abs(s)
+        if s > 0:
+            num = num * factor
+        else:
+            den = den * factor
+    return (binomials, divide_exact(num, den)) if divides(den, num) else None
+
+
+def multiplicity_by_division(n, f):
+    phi, count = cyclotomic(n), 0
+    while divides(phi, f):
+        f, count = divide_exact(f, phi), count + 1
+    return count
+
+
+class TestCyclotomicMultiplicity:
     def test_invalid_index(self):
         for n in (0, -3):
             with pytest.raises(InvalidIndex, match=f"cyclotomic index must be a positive integer, got {n}"):
-                cyclotomic_divisor_test(n)
+                cyclotomic_multiplicity(n, {1: 1})
 
     def test_matches_division_oracle_random(self):
-        # Oracle: long division by cyclotomic(n).  Half of the cases are
-        # planted multiples of Phi_n; exponents run negative and past n.
-        rng = random.Random(29)
-        prime_powers = [2, 4, 8, 64, 128, 3, 9, 27, 81, 5, 25, 125, 7, 49, 11, 121, 13, 169, 197]
-        cases = [(n, LaurentPoly.zero()) for n in (1, 2, 12, 197)]
-        cases += [(n, LaurentPoly({0: c})) for n in (1, 2, 6) for c in (1, -2, 5)]
-        cases += [(1, poly({0: 1, 3: -1})), (1, poly({-2: 1, 5: 1})), (2, poly({-1: 1, 6: 1}))]
-        outcomes = {True: 0, False: 0}
-        for i in range(3000):
-            n = rng.choice(prime_powers) if i % 5 == 0 else rng.randint(1, 200)
-            f = random_poly(rng, max_terms=6, exp_range=(-2 * n - 3, 2 * n + 3))
-            kind = rng.randrange(4)
-            if kind == 1:
-                f = f * cyclotomic(n)
-            elif kind == 2:
-                f = (f * cyclotomic(n) * 2).shifted(rng.randint(-n, n))
-            elif kind == 3:  # a near miss: one coefficient off
-                f = f * cyclotomic(n) + LaurentPoly.t_power(rng.randint(-n, n))
-            cases.append((n, f))
-        # ell*(1 + t): a zero residue mod ell that the fold must refuse
-        for n in (3, 12, 197):
-            ell, _ = _root_of_unity_mod_prime(n, _prime_factors(n))
-            cases.append((n, poly({0: ell, 1: ell})))
-        residue_decided = 0
-        for n, f in cases:
-            expected = divides(cyclotomic(n), f)
-            primes = _prime_factors(n)
-            assert _fold_test(n, primes)(f) == expected, (n, f)
-            # the residue alone, computed here with pow's negative powers
-            ell, r = _root_of_unity_mod_prime(n, primes)
-            if sum(c * pow(r, e, ell) for e, c in f.items()) % ell:
-                assert not expected, (n, f)
-                residue_decided += 1
-            assert cyclotomic_divisor_test(n)(f) == expected, (n, f)
-            outcomes[expected] += 1
-        assert min(outcomes.values()) >= 1000
-        assert residue_decided >= 0.95 * outcomes[False]
-
-    def test_root_of_unity_mod_prime(self):
-        ns = set(range(1, 2001)) | {k * (k + 1) for k in range(1, 401)}
-        setups = {n: _root_of_unity_mod_prime(n, _prime_factors(n)) for n in sorted(ns)}
-        sieve = bytearray([1]) * (max(ell for ell, _ in setups.values()) + 1)
-        sieve[:2] = b"\x00\x00"
-        for i in range(2, math.isqrt(len(sieve) - 1) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
-        for n, (ell, r) in setups.items():
-            assert sieve[ell] and (ell - 1) % n == 0, n
-            assert not any(sieve[j] for j in range(n + 1, ell, n)), n  # the least such prime
-            assert pow(r, n, ell) == 1, n
-            assert all(pow(r, n // q, ell) != 1 for q in _prime_factors(n)), n
-        assert setups[1] == (2, 1)
+        # Oracle: long division by cyclotomic(n), repeated for the exact
+        # multiplicity.  Exponents are multiples of one base, so they share
+        # divisors; most denominator exponents divide a numerator one, and
+        # n runs over 1, 2, every divisor met and one more.
+        rng = random.Random(31)
+        kept = with_denominator = 0
+        for _ in range(400):
+            base = rng.randint(1, 6)
+            pairs = [(base * rng.randint(1, 8), rng.choice((1, 1, 2))) for _ in range(rng.randint(1, 4))]
+            for _ in range(rng.randint(0, 3)):
+                a = rng.choice(pairs)[0]
+                pairs.append((rng.choice([d for d in range(1, a + 1) if a % d == 0]), -1))
+            if rng.randrange(4) == 0:
+                pairs.append((base * rng.randint(1, 8), -1))
+            found = binomial_quotient(pairs)
+            if found is None:
+                continue
+            binomials, f = found
+            kept += 1
+            with_denominator += min(binomials.values()) < 0
+            top = max(binomials)
+            ns = {1, 2, rng.randint(1, top + 3)} | {d for a in binomials for d in range(1, a + 1) if a % d == 0}
+            for n in ns:
+                got = cyclotomic_multiplicity(n, binomials)
+                assert got == multiplicity_by_division(n, f), (n, pairs)
+                assert (got >= 1) == divides(cyclotomic(n), f), (n, pairs)
+        assert kept >= 200 and with_denominator >= 100
 
     def test_matches_division_oracle_on_annihilators(self):
-        polys = {p: annihilator_poly(p) for p in range(1, 61)}
-        for k in range(1, 61):
+        quotients = {}
+        for p in range(1, 81):
+            quotients[p] = binomial_quotient([(p * (p + 1), 1), (1, 1), (p, -1), (p + 1, -1)])
+            assert quotients[p][1].canonical() == annihilator_poly(p), p
+        for k in range(1, 81):
             n = k * (k + 1)
-            phi, in_phi = cyclotomic(n), cyclotomic_divisor_test(n)
+            phi = cyclotomic(n)
             for p in range(1, k + 1):
-                assert in_phi(polys[p]) == divides(phi, polys[p]), (p, k)
+                binomials, f = quotients[p]
+                assert (cyclotomic_multiplicity(n, binomials) >= 1) == divides(phi, f), (p, k)
 
 
 class TestGcd:

@@ -76,7 +76,6 @@ def test_substitute_negative_exponent():
 
 def test_exponent_sums_and_degree():
     w = W(("x", 2), ("y", -3), ("x", 1))
-    assert w.exponent_sum("x") == 3
     assert w.exponent_sums() == {"x": 3, "y": -3}
     assert w.degree({"x": 1, "y": 1}) == 0
     assert w.degree({"x": 3, "y": 2}) == 3
