@@ -383,7 +383,7 @@ class TestDistinctnessSweep:
             distinctness_certificates(5, 3)
         assert distinctness_certificates(3, 3) == []
 
-    def test_decides_every_fact_by_multiplicity_without_division(self, monkeypatch):
+    def test_one_fold_test_per_pair(self, monkeypatch):
         # C(m, 2) pair decisions plus one k-side decision per k, each a
         # cyclotomic multiplicity; one identity check per parameter j, that
         # is annihilator_poly(j) times (t^j - 1)(t^(j+1) - 1) against the
@@ -417,6 +417,25 @@ class TestDistinctnessSweep:
                 expected += [(ONE, ()), (ONE, ())]
             assert sorted(products, key=repr) == sorted(expected, key=repr), m
         assert divisions == []
+
+    def test_residue_decides_every_pair(self, monkeypatch):
+        # Every pair fact has multiplicity 0, so "does not divide", and
+        # every k-side fact, one per k, has multiplicity exactly 1.
+        verdicts = []
+        real = constructions.cyclotomic_multiplicity
+
+        def counting_multiplicity(n, binomials):
+            verdict = real(n, binomials)
+            verdicts.append((n, verdict))
+            return verdict
+
+        monkeypatch.setattr(constructions, "cyclotomic_multiplicity", counting_multiplicity)
+        for m in (2, 8, 19, 60):
+            verdicts.clear()
+            assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
+            expected = [(k * (k + 1), 1) for k in range(2, m + 1)]
+            expected += [(k * (k + 1), 0) for k in range(2, m + 1) for _ in range(1, k)]
+            assert sorted(verdicts) == sorted(expected), m
 
     def test_annihilator_that_is_not_its_binomial_quotient_is_refused(self, monkeypatch, capsys):
         # A wrong annihilator_poly(2), (1 + t) times the right one, fails the
