@@ -40,7 +40,7 @@ from .fileformat import (
     parse_word,
     presentation_to_text,
 )
-from .fox import NotInfiniteCyclicAbelianization, alexander_polynomial
+from .fox import BrokenInvariant, NotInfiniteCyclicAbelianization, alexander_polynomial
 from .laurent import LaurentPoly
 from .torus import BadParams, TorusKnotParams, normal_form
 from .words import ForeignGenerator
@@ -349,7 +349,7 @@ def run(argv: list[str], out=None) -> int:
     except NotInfiniteCyclicAbelianization as exc:
         print(f"refuted: {exc}", file=sys.stderr)
         return 1
-    except MismatchError as exc:
+    except (MismatchError, BrokenInvariant) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # pragma: no cover - defensive

@@ -379,8 +379,10 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
     form="sum":    sum_{k=0..p} t^(p^2-kp) - sum_{k=0..p-1} t^(k(p+1)+1)
     form="closed": (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1))
 
-    Both are returned canonical; their equality for p = 1..12 is part of
-    the acceptance suite.
+    The closed form divides the numerator by one denominator binomial at
+    a time, each an exact division by t^a - 1.  Both are returned
+    canonical; their equality for p = 1..12 is part of the acceptance
+    suite.
     """
     if p < 1:
         raise InvalidP(f"need p >= 1, got {p}")
@@ -391,9 +393,10 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
         return poly.canonical()
     if form == "closed":
         binomials = _annihilator_binomials(p)
-        num = _times_binomials(LaurentPoly.one(), binomials.elements())
-        den = _times_binomials(LaurentPoly.one(), (-binomials).elements())
-        return divide_exact(num, den).canonical()
+        quot = _times_binomials(LaurentPoly.one(), binomials.elements())
+        for a in (-binomials).elements():
+            quot = divide_exact(quot, LaurentPoly({a: 1, 0: -1}))
+        return quot.canonical()
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -14,22 +14,35 @@ series t^d + t^(d + deg g) + ... + t^(d + (e-1) deg g) for e > 0, and
 group-ring route (:func:`fox_derivative` then :func:`abelianize_element`)
 computes the same entries and serves as the reference.
 
-:func:`alexander_polynomial` shrinks the matrix before taking minors.
-Elementary ideals are invariant under elementary row and column
-operations (Crowell-Fox, ch. VII; Lickorish, ch. 6), so a unit entry
-+-t^k can clear its column and then be deleted with its row and column
-without changing E_k, k counted by column deficiency.  Unit pivots are
-taken in order of least Markowitz cost, which keeps later pivots units:
-Wirtinger presentations of T(p, p+1) shrink to 2x2 and their seam
-quotients to 3x2 for every p.
+:func:`alexander_polynomial` shrinks the matrix before taking any
+determinant.  Elementary ideals are invariant under elementary row and
+column operations (Crowell-Fox, ch. VII; Lickorish, ch. 6), so a unit
+entry +-t^k can clear its column and then be deleted with its row and
+column without changing E_k, k counted by column deficiency.  Unit
+pivots are taken in order of least Markowitz cost, which keeps later
+pivots units: Wirtinger presentations of T(p, p+1) shrink to 2x2 and
+their seam quotients to 3x2 for every p.
+
+It then takes one determinant per row set, not every maximal minor.
+Fox's fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, abelianizes
+to M v = 0 with v_j = t^(d_j) - 1, so the minors of one row set are
+binomial multiples of one of them, and
+Delta = gcd_R(u_R) * (t - 1)/(t^|d_j0| - 1) for j0 a kept column of least
+nonzero degree.  The kept generators generate H1 = Z, so their degrees
+have gcd 1 and Delta(1) = +-1; both are checked, and a failure raises
+:class:`BrokenInvariant`, with no second route through full minors.
+:func:`elementary_ideal` still takes every minor, for the E_k of any k
+and as the test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Mapping
 
 from .intlinalg import Matrix
-from .laurent import LaurentPoly, laurent_gcd, minors
+from .laurent import LaurentPoly, divide_exact, laurent_det, laurent_gcd, minors
 from .presentations import Presentation, abelianization
 from .words import Word
 
@@ -40,6 +53,11 @@ class UnmappedGenerator(ValueError):
 
 class NotInfiniteCyclicAbelianization(ValueError):
     """Alexander polynomial requires abelianization Z (rank 1, no torsion)."""
+
+
+class BrokenInvariant(AssertionError):
+    """A fact the Alexander polynomial computation proves always holds
+    failed; a raise means an implementation bug."""
 
 
 class GroupRingElement:
@@ -227,9 +245,11 @@ def elementary_ideal(M: Matrix, k: int) -> tuple[LaurentPoly, ...]:
     return gens
 
 
-def _eliminate_unit_pivots(M: Matrix) -> Matrix:
+def _eliminate_unit_pivots(M: Matrix) -> tuple[Matrix, list[int]]:
     """Delete unit pivots +-t^k with their row and column after clearing
     their column by exact row operations; E_k is unchanged for every k.
+    Returns the reduced matrix and, for each of its columns, the index of
+    the column of M it came from.
 
     Each step takes the unit of least Markowitz cost
     (row nnz - 1) * (col nnz - 1), first in row-major order on ties, and
@@ -237,9 +257,9 @@ def _eliminate_unit_pivots(M: Matrix) -> Matrix:
     a unit, a minor of M one size larger per deleted pivot.
     """
     grid = M.row_lists()
-    cols = M.cols
+    kept = list(range(M.cols))
     while True:
-        col_nnz = [sum(1 for row in grid if row[j]) for j in range(cols)]
+        col_nnz = [sum(1 for row in grid if row[j]) for j in range(len(kept))]
         best = None
         for i, row in enumerate(grid):
             row_nnz = sum(1 for x in row if x)
@@ -249,7 +269,7 @@ def _eliminate_unit_pivots(M: Matrix) -> Matrix:
                     if best is None or cost < best[0]:
                         best = (cost, i, j)
         if best is None:
-            return Matrix(len(grid), cols, [x for row in grid for x in row])
+            return Matrix(len(grid), len(kept), [x for row in grid for x in row]), kept
         _, i, j = best
         pivot_row = grid.pop(i)
         ((k, c),) = pivot_row[j].items()
@@ -261,23 +281,62 @@ def _eliminate_unit_pivots(M: Matrix) -> Matrix:
                     if y:
                         row[col] = row[col] - factor * y
             del row[j]
-        cols -= 1
+        del kept[j]
 
 
 def alexander_polynomial(P: Presentation) -> LaurentPoly:
     """Canonical generator of the smallest principal ideal containing the
     first elementary ideal of the Alexander matrix, i.e. the gcd of all
-    maximal minors.
+    maximal minors, taken as one determinant per row set.
 
-    The minors are taken of the matrix left after unit-pivot elimination,
-    which has the same first elementary ideal and so the same gcd.
-    Returns 1 for the one-generator free presentation and 0 if every
-    maximal minor vanishes.
+    The matrix M is reduced by :func:`_eliminate_unit_pivots` to an
+    r x c matrix M' with the same first elementary ideal.  Fox's
+    fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, abelianizes to
+    M v = 0 with v_j = t^(d_j) - 1 for the degree map d.  Row operations
+    keep M v = 0, and a pivot's column is zero in every other row before it
+    is deleted, so M' v' = 0 for v' the entries of v at the kept columns.
+    For a set R of c - 1 rows, write A_j for the minor of R with column j
+    deleted.  The signed minors (-1)^j A_j span the kernel of the rows R
+    when they have rank c - 1 and all vanish otherwise, so
+    v_j0 A_j = +-v_j A_j0 for every j (Crowell and Fox, "Introduction to
+    Knot Theory", ch. VII).  With j0 the first kept column of least
+    nonzero |d|, and u_R = A_j0, every maximal minor of R is
+    +-u_R (t^(d_j) - 1)/(t^(d_j0) - 1), and the gcd over j of t^(d_j) - 1
+    is t^g - 1, g the gcd of the kept degrees.  So
+
+        Delta = gcd_R(u_R) * (t - 1)/(t^|d_j0| - 1),
+
+    made canonical, once g = 1.  It is: unit-pivot elimination turns the
+    integer exponent-sum matrix M(1) into M'(1) by the same steps at
+    t = 1, each solving one relation for one generator, so the kept
+    generators generate H1 = Z, and d, an isomorphism H1 -> Z, sends them
+    to a set of integers with gcd 1.  The (c - 1)-minors of M'(1) generate
+    the first Fitting ideal of Z, which is Z, so Delta(1) = +-1; in
+    particular Delta is never 0, and r >= c - 1.
+
+    A matrix with r = c - 1 has one row set and needs no gcd; when
+    |d_j0| = 1 there is no division.  There is no second route through
+    full minors: a kept-degree gcd other than 1 or a Delta(1) other than
+    +-1 can only be a bug, and raises BrokenInvariant.  Returns 1 for the
+    one-generator free presentation.
     """
     ab = abelianization(P)
     if not ab.is_infinite_cyclic():
         raise NotInfiniteCyclicAbelianization(
             f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
         )
-    M = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, ab.degree_map))
-    return laurent_gcd(elementary_ideal(M, 1))
+    M, kept = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, ab.degree_map))
+    degrees = [abs(ab.degree_map[P.generators[j]]) for j in kept]
+    if math.gcd(*degrees) != 1:
+        raise BrokenInvariant(f"the kept generators have degrees {degrees}, gcd not 1")
+    d0 = min(d for d in degrees if d)
+    j0 = degrees.index(d0)
+    grid = [row[:j0] + row[j0 + 1 :] for row in M.row_lists()]
+    delta = laurent_gcd(
+        [laurent_det([grid[i] for i in rows]) for rows in itertools.combinations(range(M.rows), M.cols - 1)]
+    )
+    if d0 > 1:
+        delta = divide_exact(delta.shifted(1) - delta, LaurentPoly({d0: 1, 0: -1})).canonical()
+    if sum(c for _, c in delta.items()) not in (1, -1):
+        raise BrokenInvariant(f"Delta = {delta} does not take the value +-1 at t = 1")
+    return delta

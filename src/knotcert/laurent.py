@@ -9,20 +9,31 @@ anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 :meth:`LaurentPoly.canonical`).
 
 Two kernels here carry the heavy work: exact division and the
-determinant.  Both rest on Kronecker substitution: a polynomial is
+determinant.  Kronecker substitution serves both: a polynomial is
 evaluated at t = 2^(8w) and packed into one integer (:func:`_pack`),
-and balanced digits read an integer back (:func:`_unpack`).  Exact
-division has two routes, and the cost rule of :func:`_packed_pays` picks
-one from the operands' shapes.  :func:`_divmod_dense` is the only
-polynomial long-division loop.  It costs len(quot)*nnz(den) coefficient
-operations in Python, where nnz counts the divisor's nonzero terms, so
-sparse torus-knot divisors are cheap however wide their degree span.
-When that cost exceeds the span of the dividend, :func:`_exact_quotient`
-packs both operands and decides with one divmod inside int.  A zero
-remainder is accepted only after a bound check that makes the quotient
-exact term by term; a nonzero one proves non-divisibility.  Past 8-byte
-digits it falls back to long division, so nothing rests on a guess.
-:func:`divide_exact` and :func:`divides` take the route the rule picks.
+and balanced digits read an integer back (:func:`_unpack`).
+
+Exact division has three routes, all behind :func:`_quotient`, so
+:func:`divide_exact` and :func:`divides` take the same one.
+
+- A divisor +-t^a*(1 - t^d), a property of the divisor alone, takes
+  :func:`_binomial_quotient`: running sums over the residue classes mod
+  d of the dividend's exponents, in O(nnz*log nnz + nnz(quot)) for nnz
+  the dividend's nonzero terms.  The other two routes cost at least the
+  quotient's span, and the Alexander polynomial of T(e, e + 1) has about
+  2e terms over a span of about e^2.
+- Any other divisor takes one of two routes, which the cost rule of
+  :func:`_packed_pays` picks from the operands' shapes.
+  :func:`_divmod_dense` is the only polynomial long-division loop.  It
+  costs len(quot)*nnz(den) coefficient operations in Python, where nnz
+  counts the divisor's nonzero terms, so sparse torus-knot divisors are
+  cheap however wide their degree span.  When that cost exceeds the span
+  of the dividend, :func:`_exact_quotient` packs both operands and
+  decides with one divmod inside int.  A zero remainder is accepted only
+  after a bound check that makes the quotient exact term by term; a
+  nonzero one proves non-divisibility.  Past 8-byte digits it falls back
+  to long division, so nothing rests on a guess.
+
 The pseudo-remainders of :func:`laurent_gcd` are long divisions; before
 each one the rule admits, the packed route asks whether the divisor
 already divides, which ends the sequence.
@@ -170,18 +181,6 @@ class LaurentPoly:
         return LaurentPoly._trusted(acc)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit t^k."""
@@ -427,9 +426,48 @@ def _long_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly._from_dense(qr[0], num.min_exp() - den.min_exp())
 
 
+def _binomial_quotient(num: LaurentPoly, a: int, d: int, sign: int) -> LaurentPoly | None:
+    """num/(sign*t^a*(t^d - 1)) for sign = +-1 and d >= 1 when that is a
+    Laurent polynomial, else None; num is nonzero.
+
+    num = h*(t^d - 1) means num_e = h_(e-d) - h_e for every e, so h_e is
+    minus the running sum of num over the exponents x <= e with
+    x = e (mod d), and h exists exactly when each residue class of num
+    sums to 0.  The terms are sorted once and grouped by class.  Between
+    two consecutive exponents x < y of a class, h takes one value at x,
+    x + d, ..., below y, and a nonzero one is written there, times sign
+    and shifted by -a, with one dict.fromkeys.  The cost is
+    O(nnz(num)*log nnz(num) + nnz(quot)), however wide the span of num.
+
+    >>> str(_binomial_quotient(LaurentPoly({0: -1, 6: 1}), 0, 2, 1))
+    '1 + t^2 + t^4'
+    >>> _binomial_quotient(LaurentPoly({0: -1, 5: 1}), 0, 2, 1) is None
+    True
+    """
+    coeffs = num._coeffs
+    classes: dict[int, list[int]] = {}
+    for e in sorted(coeffs):
+        classes.setdefault(e % d, []).append(e)
+    quot: dict[int, int] = {}
+    for exps in classes.values():
+        run = 0
+        for x, y in zip(exps, exps[1:]):
+            run -= coeffs[x]
+            if run:
+                quot.update(dict.fromkeys(range(x - a, y - a, d), sign * run))
+        if run != coeffs[exps[-1]]:  # the class does not sum to 0
+            return None
+    return LaurentPoly._trusted(quot)
+
+
 def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """num/den when den divides num, else None, by the route
-    :func:`_packed_pays` picks; num and den nonzero."""
+    """num/den when den divides num, else None; num and den nonzero.  A
+    divisor +-t^a*(1 - t^d) takes :func:`_binomial_quotient`, any other
+    the route :func:`_packed_pays` picks."""
+    if len(den._coeffs) == 2:
+        (a, low), (b, high) = sorted(den._coeffs.items())
+        if low == -high and high in (1, -1):
+            return _binomial_quotient(num, a, b - a, high)
     if _packed_pays(num, den):
         return _exact_quotient(num, den)
     return _long_quotient(num, den)

@@ -1,16 +1,22 @@
+import io
 import math
 import random
 
 import pytest
 
-from knotcert import fox
+from knotcert import fox, laurent
+from knotcert.cli import run
 from knotcert.constructions import (
     annihilator_poly,
+    double_presentation,
+    gamma_presentation,
     gamma_tab_presentation,
+    standard_presentation,
     tau_word,
     torus_wirtinger,
 )
 from knotcert.fox import (
+    BrokenInvariant,
     GroupRingElement,
     NotInfiniteCyclicAbelianization,
     UnmappedGenerator,
@@ -24,6 +30,7 @@ from knotcert.fox import (
 )
 from knotcert.intlinalg import Matrix
 from knotcert.laurent import LaurentPoly, divide_exact, laurent_gcd
+from knotcert.fileformat import parse_presentation
 from knotcert.presentations import (
     Presentation,
     abelianization,
@@ -325,8 +332,9 @@ class TestUnitPivotElimination:
             rows, cols = rng.randint(1, 5), rng.randint(1, 5)
             shapes["m<n" if rows < cols else "m=n" if rows == cols else "m>n"] += 1
             M = _random_matrix(rng, rows, cols)
-            R = _eliminate_unit_pivots(M)
+            R, kept = _eliminate_unit_pivots(M)
             assert R.rows - R.cols == M.rows - M.cols
+            assert len(kept) == R.cols and kept == sorted(set(kept)) and set(kept) <= set(range(cols))
             assert not any(x.is_unit() for x in R.entries)
             for k in range(cols + 2):
                 full = elementary_ideal(M, k)
@@ -343,9 +351,9 @@ class TestUnitPivotElimination:
 
     def test_empty_and_fully_reducible_matrices(self):
         empty = Matrix(0, 3, [])
-        assert _eliminate_unit_pivots(empty) == empty
+        assert _eliminate_unit_pivots(empty) == (empty, [0, 1, 2])
         units = Matrix(2, 2, [ONE, -ONE, LaurentPoly.t_power(2), LaurentPoly.zero()])
-        assert _eliminate_unit_pivots(units) == Matrix(0, 0, [])
+        assert _eliminate_unit_pivots(units) == (Matrix(0, 0, []), [])
 
 
 class TestAlexanderAtScale:
@@ -367,19 +375,148 @@ class TestAlexanderAtScale:
             assert alexander_polynomial(Q) == ONE
 
     def test_minors_are_taken_of_a_small_matrix(self, monkeypatch):
-        # Fails if alexander_polynomial takes minors of the full matrix.
-        shapes = []
-        real = fox.elementary_ideal
+        # Fails if alexander_polynomial takes determinants of the full
+        # matrix, or more than one per row set: Wirtinger presentations
+        # reduce to 2 x 2 and their seam quotients to 3 x 2, so each takes
+        # one 1 x 1 determinant per row.
+        sizes = []
+        real = fox.laurent_det
 
-        def spy(M, k):
-            shapes.append((M.rows, M.cols))
-            return real(M, k)
+        def spy(rows):
+            sizes.append(len(rows))
+            return real(rows)
 
-        monkeypatch.setattr(fox, "elementary_ideal", spy)
+        monkeypatch.setattr(fox, "laurent_det", spy)
         for p in range(2, 13):
             P = torus_wirtinger(p)
+            sizes.clear()
             alexander_polynomial(P)
+            assert sizes == [1, 1], p
+            sizes.clear()
             alexander_polynomial(add_relator(P, tau_word(p)))
-            wirtinger, seam = shapes[-2:]
-            assert wirtinger[0] <= 2 and wirtinger[1] <= 2
-            assert seam[0] <= 3 and seam[1] <= 2
+            assert sizes == [1, 1, 1], p
+
+
+def _delta_by_full_minors(P, reduce=False):
+    # The gcd of every maximal minor, the route the one-determinant formula
+    # replaces: of the unit-pivot reduced matrix when reduce is set, which
+    # has the same first elementary ideal, else of the whole matrix.
+    M = fox_matrix(P.generators, P.relators, abelianization(P).degree_map)
+    if reduce:
+        M, _ = _eliminate_unit_pivots(M)
+    return laurent_gcd(elementary_ideal(M, 1))
+
+
+def _random_z_presentation(rng):
+    # 2-5 generators and n - 1 to n + 1 relators, redrawn until the
+    # abelianization is Z
+    while True:
+        n = rng.randint(2, 5)
+        gens = [f"a{i}" for i in range(n)]
+        relators = [
+            Word([(rng.choice(gens), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(rng.randint(2, 8))])
+            for _ in range(rng.randint(n - 1, n + 1))
+        ]
+        P = Presentation(gens, relators)
+        if abelianization(P).is_infinite_cyclic():
+            return P
+
+
+def _chain(g):
+    lines = ["gens: " + " ".join(f"g{i}" for i in range(g))]
+    lines += [f"rel: g{i} g{i + 1} g{i}^-1 g{i + 1}^-1 g{i} g{i + 1}^-1" for i in range(g - 1)]
+    return "\n".join(lines) + "\n"
+
+
+class TestOneDeterminantPerRowSet:
+    def test_matches_full_minors_on_every_present_form(self):
+        builders = (
+            torus_wirtinger,
+            lambda p: standard_presentation(p, p + 1),
+            gamma_presentation,
+            gamma_tab_presentation,
+            lambda p: double_presentation(p)[0],
+        )
+        for build in builders:
+            for p in range(2, 13):
+                P = build(p)
+                assert alexander_polynomial(P) == _delta_by_full_minors(P, reduce=True), p
+
+    def test_matches_full_minors_on_tall_torus_relators(self):
+        # <x, y | x^e y^-(e+1)> keeps both columns, of degrees e + 1 and e,
+        # so Delta is the x-column entry times (t - 1)/(t^e - 1).
+        for e in range(2, 131):
+            for sx, sy in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+                P = Presentation(("x", "y"), [W(("x", sx * e), ("y", sy * (e + 1)))])
+                assert alexander_polynomial(P) == _delta_by_full_minors(P), (e, sx, sy)
+
+    def test_matches_full_minors_on_random_presentations(self):
+        rng = random.Random(41)
+        seen = {"division": 0, "zero degree": 0, "gcd": 0}
+        for _ in range(300):
+            P = _random_z_presentation(rng)
+            degree_map = abelianization(P).degree_map
+            M, kept = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, degree_map))
+            degrees = [abs(degree_map[P.generators[j]]) for j in kept]
+            seen["division"] += min(d for d in degrees if d) > 1
+            seen["zero degree"] += 0 in degrees
+            seen["gcd"] += M.rows > M.cols - 1
+            assert alexander_polynomial(P) == _delta_by_full_minors(P), P
+        assert min(seen.values()) >= 10, seen
+
+    def test_baumslag_solitar_keeps_a_degree_zero_column(self):
+        # BS(1, 2) = <x, y | x y x^-1 y^-2>: y has degree 0, the x column is
+        # zero, and only the y entry t - 2 is left.
+        P = Presentation(("x", "y"), [W(("x", 1), ("y", 1), ("x", -1), ("y", -2))])
+        assert abelianization(P).degree_map["y"] == 0
+        assert alexander_polynomial(P) == LaurentPoly({0: 2, 1: -1})
+        assert alexander_polynomial(P) == _delta_by_full_minors(P)
+
+    def test_deficiency_one_file_takes_one_determinant_and_no_gcd(self, tmp_path, monkeypatch):
+        dets, forbidden = [], []
+        real_det = fox.laurent_det
+
+        def det_spy(rows):
+            dets.append(len(rows))
+            return real_det(rows)
+
+        monkeypatch.setattr(fox, "laurent_det", det_spy)
+        for name in ("_pp_gcd", "_divmod_dense", "_exact_quotient"):
+            monkeypatch.setattr(laurent, name, lambda *args, name=name: forbidden.append(name))
+        files = {
+            "chain12": _chain(12),
+            "chain40": _chain(40),
+            "tall80": "gens: x y\nrel: x^80 y^-81\n",
+            "tall127": "gens: x y\nrel: x^-127 y^-128\n",
+            "bs12": "gens: x y\nrel: x y x^-1 y^-2\n",
+        }
+        for name, text in files.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text, encoding="utf-8")
+            dets.clear()
+            assert run(["alexander", "--file", str(path)], io.StringIO()) == 0, name
+            assert len(dets) == 1 and not forbidden, (name, dets, forbidden)
+
+    def test_chain_polynomial(self):
+        # each relator's Fox row is (2 - t, t - 2), and every generator has
+        # degree 1, so Delta = (2 - t)^(g - 1)
+        two_minus_t = LaurentPoly({0: 2, 1: -1})
+        for g in (2, 5, 12):
+            expected = ONE
+            for _ in range(g - 1):
+                expected = expected * two_minus_t
+            P = parse_presentation(_chain(g))
+            assert alexander_polynomial(P) == expected.canonical() == _delta_by_full_minors(P)
+
+    def test_broken_invariant_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a determinant off by a factor 2 gives Delta(1) = +-2, which the
+        # gcd-1 argument rules out; there is no fallback to full minors
+        real_det = fox.laurent_det
+        monkeypatch.setattr(fox, "laurent_det", lambda rows: real_det(rows) * 2)
+        P = torus_wirtinger(3)
+        with pytest.raises(BrokenInvariant):
+            alexander_polynomial(P)
+        path = tmp_path / "tall.txt"
+        path.write_text("gens: x y\nrel: x^5 y^-6\n", encoding="utf-8")
+        assert run(["alexander", "--file", str(path)], io.StringIO()) == 3
+        assert "internal invariant violated" in capsys.readouterr().err

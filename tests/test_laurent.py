@@ -9,8 +9,6 @@ import pytest
 from knotcert import laurent
 from knotcert.cli import run
 from knotcert.constructions import annihilator_poly
-from knotcert.fileformat import parse_presentation
-from knotcert.fox import alexander_polynomial
 from knotcert.intlinalg import Matrix, bareiss_det
 from knotcert.laurent import (
     DivisionByZero,
@@ -69,8 +67,8 @@ class TestArithmetic:
 
     def test_int_scaling_and_pow(self):
         assert (T * 3).items() == ((1, 3),)
-        assert T ** 4 == LaurentPoly.t_power(4)
-        assert (T + ONE) ** 0 == ONE
+        assert T * T * T * T == LaurentPoly.t_power(4)
+        assert (T + ONE) * (T + ONE) == poly({0: 1, 1: 2, 2: 1})
 
 
 class TestCanonical:
@@ -295,6 +293,69 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+class TestBinomialQuotient:
+    """The divisor +-t^a*(1 - t^d) takes _binomial_quotient; _long_quotient
+    is the oracle."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = laurent._binomial_quotient
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(laurent, "_binomial_quotient", spy)
+        return calls
+
+    def test_matches_long_division_on_random_dividends(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        rng = random.Random(61)
+        outcomes = {"exact": 0, "not": 0}
+        for _ in range(600):
+            a, d, sign = rng.randint(-6, 6), rng.randint(1, 12), rng.choice((1, -1))
+            den = poly({a: -sign, a + d: sign})
+            quot = random_poly(rng, max_terms=8, exp_range=(-20, 20), coeff_range=(-9, 9))
+            num = quot * den
+            if rng.random() < 0.5:
+                num = num + random_poly(rng, max_terms=2, exp_range=(-25, 25))
+            if num.is_zero():
+                continue
+            calls.clear()
+            expected = _long_quotient(num, den)
+            assert laurent._quotient(num, den) == expected, (num, den)
+            assert divides(den, num) == (expected is not None)
+            if expected is None:
+                with pytest.raises(NotDivisible):
+                    divide_exact(num, den)
+            else:
+                assert divide_exact(num, den) == expected
+            assert len(calls) == 3, (num, den)
+            outcomes["not" if expected is None else "exact"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_wide_sparse_dividend(self):
+        # the Alexander polynomial of T(e, e + 1) times t - 1, over t^e - 1
+        for e in (2, 80, 127, 400):
+            fox_entry = _fox_entries(e)[0]
+            num = fox_entry.shifted(1) - fox_entry
+            assert divide_exact(num, poly({e: 1, 0: -1})).canonical() == _torus_delta(e)
+            assert not divides(poly({e + 2: 1, 0: -1}), num)
+
+    def test_other_two_term_divisors_fall_through(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        rng = random.Random(62)
+        dens = [poly({0: 1, 3: 1}), poly({0: 2, 1: -2}), poly({0: 1, 2: -2}), poly({-2: 3, 4: 1}), poly({1: -1, 5: -1})]
+        for den in dens:
+            for _ in range(40):
+                num = random_poly(rng, max_terms=6, exp_range=(-10, 10)) * den
+                num = num + (random_poly(rng, max_terms=1) if rng.random() < 0.5 else LaurentPoly.zero())
+                if num.is_zero():
+                    continue
+                assert laurent._quotient(num, den) == _long_quotient(num, den), (num, den)
+        assert calls == []
+
+
 class TestPackedQuotient:
     def _random(self, rng, length, bound, density):
         terms = {i: rng.choice((-1, 1)) * rng.randint(1, bound) for i in range(length) if rng.random() < density}
@@ -472,11 +533,11 @@ def binomial_quotient(pairs):
         binomials[a] = binomials.get(a, 0) + s
     num = den = ONE
     for a, s in binomials.items():
-        factor = (LaurentPoly.t_power(a) - ONE) ** abs(s)
-        if s > 0:
-            num = num * factor
-        else:
-            den = den * factor
+        for _ in range(abs(s)):
+            if s > 0:
+                num = num * (LaurentPoly.t_power(a) - ONE)
+            else:
+                den = den * (LaurentPoly.t_power(a) - ONE)
     return (binomials, divide_exact(num, den)) if divides(den, num) else None
 
 
@@ -589,8 +650,7 @@ class TestGcd:
         for e in (2, 10, 127):
             long_steps.clear()
             packed.clear()
-            text = f"gens: x y\nrel: x^{e} y^-{e + 1}\n"
-            assert alexander_polynomial(parse_presentation(text)) == _torus_delta(e)
+            assert laurent_gcd(_fox_entries(e)) == _torus_delta(e)
             assert long_steps == [2], e
             assert len(packed) == 1 and packed[0] is not None, e
 
