@@ -41,7 +41,7 @@ from .fileformat import (
     presentation_to_text,
 )
 from .fox import BrokenInvariant, NotInfiniteCyclicAbelianization, alexander_polynomial
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, cyclotomic
 from .torus import BadParams, TorusKnotParams, normal_form
 from .words import ForeignGenerator
 
@@ -77,8 +77,9 @@ def poly_to_json(poly: LaurentPoly) -> dict:
     return {"min_exp": poly.min_exp(), "coeffs": _coeff_strs(poly)}
 
 
-def certificate_payload(cert: DistinctnessCertificate) -> dict:
-    """The schema-1 JSON object of a certificate, before serialization."""
+def certificate_payload(cert: DistinctnessCertificate, phi: LaurentPoly) -> dict:
+    """The schema-1 JSON object of a certificate, before serialization;
+    phi is cyclotomic(cert.phi_index), which the caller builds once per k."""
     return {
         "schema_version": 1,
         "p": cert.p,
@@ -91,13 +92,14 @@ def certificate_payload(cert: DistinctnessCertificate) -> dict:
         "polynomials": {
             "annihilator_p": poly_to_json(cert.poly_p),
             "annihilator_k": poly_to_json(cert.poly_k),
-            "phi": poly_to_json(cert.phi),
+            "phi": poly_to_json(phi),
         },
     }
 
 
 def emit_certificate_json(cert: DistinctnessCertificate) -> str:
-    return json.dumps(certificate_payload(cert), sort_keys=True, indent=2)
+    payload = certificate_payload(cert, cyclotomic(cert.phi_index))
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _yesno(flag: bool) -> str:
@@ -133,7 +135,7 @@ def _certificate_text(cert: DistinctnessCertificate) -> str:
         f"distinctness certificate (p={cert.p}, k={cert.k})",
         f"mode: {cert.mode}",
         f"phi index: {cert.phi_index}",
-        f"phi: {cert.phi}",
+        f"phi: {cyclotomic(cert.phi_index)}",
         f"annihilator(p={cert.p}): {cert.poly_p}",
         f"annihilator(k={cert.k}): {cert.poly_k}",
         "phi divides annihilator(k) and (t-1)*annihilator(k): "
@@ -156,10 +158,10 @@ def _cmd_distinct(args, out) -> int:
 def _cmd_distinct_range(args, out) -> int:
     certs = distinctness_certificates(args.min, args.max)
     if args.json:
-        out.write(
-            json.dumps([certificate_payload(c) for c in certs], sort_keys=True, indent=2)
-            + "\n"
-        )
+        # one phi per k; the text sweep below prints none
+        phis = {n: cyclotomic(n) for n in {c.phi_index for c in certs}}
+        payloads = [certificate_payload(c, phis[c.phi_index]) for c in certs]
+        out.write(json.dumps(payloads, sort_keys=True, indent=2) + "\n")
     else:
         for c in certs:
             out.write(

@@ -26,7 +26,6 @@ from .fox import (
 from .intlinalg import Matrix
 from .laurent import (
     LaurentPoly,
-    cyclotomic,
     cyclotomic_multiplicity,
     divide_exact,
     laurent_gcd,
@@ -365,9 +364,10 @@ def _annihilator_binomials(p: int) -> Counter[int]:
 
 
 def _times_binomials(f: LaurentPoly, exponents: Iterable[int]) -> LaurentPoly:
-    """f * prod (t^a - 1) over exponents, each factor as f.shifted(a) - f."""
+    """f * prod (t^a - 1) over exponents, one LaurentPoly.times_binomial
+    pass of O(nnz) dict work per factor."""
     for a in exponents:
-        f = f.shifted(a) - f
+        f = f.times_binomial(a)
     return f
 
 
@@ -389,7 +389,8 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
     if form == "sum":
         poly = LaurentPoly(
             [(p * p - k * p, 1) for k in range(p + 1)]
-        ) - LaurentPoly([(k * (p + 1) + 1, 1) for k in range(p)])
+            + [(k * (p + 1) + 1, -1) for k in range(p)]
+        )
         return poly.canonical()
     if form == "closed":
         binomials = _annihilator_binomials(p)
@@ -434,7 +435,9 @@ class DistinctnessCertificate:
 
     divides_in_k and divides_in_p are read off the multiplicity of Phi in
     the annihilator polynomials as quotients of binomials
-    (cyclotomic_multiplicity); phi itself is carried for printing.
+    (cyclotomic_multiplicity).  Phi itself is not held: it is
+    cyclotomic(phi_index), which the code that prints it builds, once per
+    k, and a text sweep never does.
     """
 
     p: int
@@ -446,7 +449,6 @@ class DistinctnessCertificate:
     valid: bool
     poly_p: LaurentPoly
     poly_k: LaurentPoly
-    phi: LaurentPoly
 
 
 def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCertificate]:
@@ -457,9 +459,10 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
     checked once against its quotient of binomials (_annihilator_binomials)
     by one sparse product, MismatchError if they differ.  Every
     divisibility fact is then cyclotomic_multiplicity >= 1 on those
-    exponents: phi = cyclotomic(k(k+1)) and divides_in_k once per k, the
-    p = 1 unit-ideal fact once, and for each pair one sum over at most four
-    exponents, with no polynomial division.  Nothing is kept after the call
+    exponents: divides_in_k once per k, the p = 1 unit-ideal fact once, and
+    for each pair one sum over at most four exponents, with no polynomial
+    division and no cyclotomic polynomial built; a printer that shows phi
+    builds cyclotomic(phi_index) itself.  Nothing is kept after the call
     returns.
     """
     polys = {j: annihilator_poly(j) for j in {*ps, *ks}}
@@ -470,7 +473,6 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
             raise MismatchError(
                 f"annihilator_poly({j}) = {poly} is not the quotient {dict(binomials[j])}"
             )
-    phis = {k: cyclotomic(k * (k + 1)) for k in ks}
     # phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1), so it divides
     # both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or neither.
     in_k = {k: cyclotomic_multiplicity(k * (k + 1), binomials[k]) >= 1 for k in ks}
@@ -501,7 +503,6 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCert
                 valid=valid,
                 poly_p=polys[p],
                 poly_k=polys[k],
-                phi=phis[k],
             ))
     return certs
 

@@ -16,6 +16,7 @@ exponent-sum matrices.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -104,17 +105,23 @@ def bareiss_det(rows: list[list[T]], one: T, exact_div: Callable[[T, T], T]) -> 
     fraction-free (Bareiss) elimination.
 
     exact_div(a, b) must return a / b whenever b divides a; every division
-    the elimination performs is of that kind.  The first step's divisor is
-    one and is skipped, so an n x n matrix with nonzero pivots makes
-    (n-2)(n-1)(2n-3)/6 calls, none for n <= 2.  The empty matrix has
-    determinant one.
+    the elimination performs is of that kind.  A triangular matrix, every
+    entry above or every entry below the diagonal zero, is not eliminated:
+    its determinant is the product of its diagonal, with no call.  Any
+    other matrix is; the first step's divisor is one and is skipped, so an
+    n x n matrix with nonzero pivots makes (n-2)(n-1)(2n-3)/6 calls, none
+    for n <= 2.  The empty matrix has determinant one.
 
     >>> bareiss_det([[2, 1], [4, 5]], 1, lambda a, b: a // b)
     6
+    >>> bareiss_det([[2, 0, 0], [4, 5, 0], [7, 8, 3]], 1, None)
+    30
     """
+    if not any(any(row[:i]) for i, row in enumerate(rows)) or not any(
+        any(row[i + 1 :]) for i, row in enumerate(rows)
+    ):
+        return math.prod((row[i] for i, row in enumerate(rows)), start=one)
     n = len(rows)
-    if n == 0:
-        return one
     m = [row[:] for row in rows]
     sign = 1
     prev = one

@@ -186,6 +186,22 @@ class LaurentPoly:
         """Multiply by the unit t^k."""
         return LaurentPoly._trusted({e + k: c for e, c in self._coeffs.items()})
 
+    def times_binomial(self, a: int) -> "LaurentPoly":
+        """self * (t^a - 1): one shifted map, then one pass subtracting self.
+
+        >>> str(LaurentPoly({0: 1, 1: 1}).times_binomial(1))
+        '-1 + t^2'
+        """
+        coeffs = self._coeffs
+        acc = {e + a: c for e, c in coeffs.items()}
+        for e, c in coeffs.items():
+            x = acc.get(e, 0) - c
+            if x:
+                acc[e] = x
+            else:
+                del acc[e]
+        return LaurentPoly._trusted(acc)
+
     def canonical(self) -> "LaurentPoly":
         """The unique unit multiple with minimum exponent 0 and positive
         lowest coefficient; canonical(0) = 0.  Idempotent.
@@ -197,7 +213,7 @@ class LaurentPoly:
             return self
         m = self.min_exp()
         if self._coeffs[m] > 0:
-            return self.shifted(-m)
+            return self.shifted(-m) if m else self
         return LaurentPoly._trusted({e - m: -c for e, c in self._coeffs.items()})
 
     def is_unit(self) -> bool:

@@ -7,7 +7,7 @@ import random
 from knotcert import cli
 from knotcert.cli import emit_certificate_json, poly_to_json, run
 from knotcert.constructions import distinctness_certificate, gamma_artifacts
-from knotcert.laurent import LaurentPoly
+from knotcert.laurent import LaurentPoly, cyclotomic
 
 
 def capture(argv):
@@ -53,7 +53,7 @@ class TestCertificateJson:
             for key, poly in (
                 ("annihilator_p", cert.poly_p),
                 ("annihilator_k", cert.poly_k),
-                ("phi", cert.phi),
+                ("phi", cyclotomic(cert.phi_index)),
             ):
                 assert polys[key] == {
                     "min_exp": poly.min_exp(),

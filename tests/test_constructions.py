@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import sys
 
 import pytest
 
@@ -44,6 +45,21 @@ from knotcert.torus import (
 from knotcert.words import Word
 
 ONE = LaurentPoly.one()
+
+
+def _count_cyclotomic(monkeypatch):
+    """Spy on cyclotomic wherever a knotcert module holds it; returns the
+    list of indices it is called with."""
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return cyclotomic(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotcert") and getattr(module, "cyclotomic", None) is cyclotomic:
+            monkeypatch.setattr(module, "cyclotomic", spy)
+    return calls
 
 
 def W(*syllables):
@@ -287,9 +303,12 @@ class TestDistinctness:
         cert = distinctness_certificate(2, 3)
         assert cert.mode == "cyclotomic"
         assert cert.phi_index == 12
-        assert cert.phi == cyclotomic(12)
         assert cert.divides_in_k and not cert.divides_in_p
         assert cert.valid
+        out = io.StringIO()
+        assert cli.run(["distinct", "--p", "2", "--k", "3"], out) == 0
+        assert f"phi: {cyclotomic(12)}" in out.getvalue().splitlines()
+        assert str(cyclotomic(12)) == "1 - t^2 + t^4"
 
     def test_pair_1_2_unit_mode(self):
         cert = distinctness_certificate(1, 2)
@@ -454,9 +473,10 @@ class TestDistinctnessSweep:
 
     def test_shared_work_is_done_once(self, monkeypatch):
         # Calls of annihilator_poly, cyclotomic, cyclotomic_multiplicity and
-        # order_ideal: one annihilator per parameter, one phi per k, one
-        # multiplicity per k-side fact and per pair, and no order ideal,
-        # even when p = 1 is in play.
+        # order_ideal: one annihilator per parameter, no phi (the printers
+        # build it), one multiplicity per k-side fact and per pair, and no
+        # order ideal, even when p = 1 is in play.
+        phis = _count_cyclotomic(monkeypatch)
         calls = {}
 
         def counting(name):
@@ -468,17 +488,39 @@ class TestDistinctnessSweep:
 
             return spy
 
-        names = ("annihilator_poly", "cyclotomic", "cyclotomic_multiplicity", "order_ideal")
+        names = ("annihilator_poly", "cyclotomic_multiplicity", "order_ideal")
         for name in names:
             monkeypatch.setattr(constructions, name, counting(name))
         for produce, expected in (
-            (lambda: distinctness_certificates(1, 12), (12, 11, 11 + 66, 0)),
-            (lambda: distinctness_certificate(3, 7), (2, 1, 2, 0)),
-            (lambda: distinctness_certificate(1, 7), (2, 1, 2, 0)),
+            (lambda: distinctness_certificates(1, 12), (12, 11 + 66, 0)),
+            (lambda: distinctness_certificate(3, 7), (2, 2, 0)),
+            (lambda: distinctness_certificate(1, 7), (2, 2, 0)),
         ):
             calls.update(dict.fromkeys(names, 0))
+            phis.clear()
             produce()
             assert all(calls[n] <= e for n, e in zip(names, expected)), calls
+            assert phis == []
+
+    def test_phi_is_built_only_where_printed(self, monkeypatch):
+        # The text sweep prints no phi and builds none; the JSON sweep
+        # builds one per k, hi - lo in all, and distinct one for its pair.
+        phis = _count_cyclotomic(monkeypatch)
+        for m in (1, 2, 8, 19, 60):
+            phis.clear()
+            assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
+            assert phis == [], m
+        for lo, hi in ((1, 1), (1, 2), (1, 8), (1, 19), (5, 12), (7, 7)):
+            phis.clear()
+            argv = ["distinct-range", "--min", str(lo), "--max", str(hi), "--json"]
+            assert cli.run(argv, io.StringIO()) == 0
+            assert sorted(phis) == [k * (k + 1) for k in range(lo + 1, hi + 1)], (lo, hi)
+        for p, k in ((1, 2), (2, 3), (4, 9)):
+            for json_flag in ([], ["--json"]):
+                phis.clear()
+                argv = ["distinct", "--p", str(p), "--k", str(k), *json_flag]
+                assert cli.run(argv, io.StringIO()) == 0
+                assert phis == [k * (k + 1)], argv
 
 
 class TestSeamQuotient:

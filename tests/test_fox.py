@@ -508,6 +508,31 @@ class TestOneDeterminantPerRowSet:
             P = parse_presentation(_chain(g))
             assert alexander_polynomial(P) == expected.canonical() == _delta_by_full_minors(P)
 
+    def test_hundred_generator_chain_takes_no_bareiss_division(self, tmp_path, monkeypatch):
+        # its one determinant is of a 99 x 99 lower-bidiagonal matrix, past
+        # the subset-sum sizes, and a triangular matrix takes no division
+        dets, divisions = [], []
+        real_bareiss = laurent.bareiss_det
+
+        def bareiss_spy(rows, one, exact_div):
+            def counting_div(a, b):
+                divisions.append(b)
+                return exact_div(a, b)
+
+            dets.append(len(rows))
+            return real_bareiss(rows, one, counting_div)
+
+        monkeypatch.setattr(laurent, "bareiss_det", bareiss_spy)
+        path = tmp_path / "chain100.txt"
+        path.write_text(_chain(100), encoding="utf-8")
+        out = io.StringIO()
+        assert run(["alexander", "--file", str(path)], out) == 0
+        assert dets == [99] and divisions == []
+        expected = ONE
+        for _ in range(99):
+            expected = expected * LaurentPoly({0: 2, 1: -1})
+        assert out.getvalue() == " ".join(map(str, expected.canonical().dense_coeffs())) + "\n"
+
     def test_broken_invariant_exits_3(self, tmp_path, monkeypatch, capsys):
         # a determinant off by a factor 2 gives Delta(1) = +-2, which the
         # gcd-1 argument rules out; there is no fallback to full minors

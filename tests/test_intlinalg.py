@@ -132,6 +132,63 @@ def test_det_matches_cofactor_oracle():
         Matrix(2, 3, [0] * 6).det()
 
 
+def eliminated_det(rows):
+    # oracle: fraction-free elimination with no triangular shortcut
+    n = len(rows)
+    m = [row[:] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def counting_floordiv(calls):
+    def exact_div(a, b):
+        calls.append((a, b))
+        return a // b
+
+    return exact_div
+
+
+def test_triangular_det_takes_no_division():
+    rng = random.Random(95)
+    for n in range(13):
+        for _ in range(20):
+            # zero diagonal entries, so det 0, are common at bound 1
+            bound = rng.choice((1, 9, 10**30))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            for keep in (lambda i, j: i >= j, lambda i, j: i <= j):
+                tri = [[x if keep(i, j) else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+                calls = []
+                det = intlinalg.bareiss_det(tri, 1, counting_floordiv(calls))
+                assert calls == []
+                assert det == math.prod(tri[i][i] for i in range(n)) == eliminated_det(tri)
+                if n <= 6:
+                    assert det == cofactor_det(tri)
+
+
+def test_det_matches_elimination_without_the_shortcut():
+    rng = random.Random(96)
+    divided = 0
+    for n in range(10):
+        for _ in range(40):
+            bound = rng.choice((1, 9))
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            calls = []
+            assert intlinalg.bareiss_det(rows, 1, counting_floordiv(calls)) == eliminated_det(rows)
+            divided += bool(calls)
+    assert divided >= 200
+
+
 def test_entry_count_validation():
     with pytest.raises(ValueError):
         Matrix(2, 2, [1, 2, 3])
