@@ -15,19 +15,19 @@ import argparse
 import json
 import sys
 
-from . import acceptance
 from .constructions import (
     BadPair,
     DistinctnessCertificate,
     InvalidP,
     MismatchError,
+    annihilator_poly,
     distinctness_certificate,
-    distinctness_certificates,
     double_presentation,
     fold_report,
     gamma_artifacts,
     gamma_presentation,
     gamma_tab_presentation,
+    iter_distinctness_certificates,
     standard_presentation,
     tau_report,
     torus_wirtinger,
@@ -77,9 +77,11 @@ def poly_to_json(poly: LaurentPoly) -> dict:
     return {"min_exp": poly.min_exp(), "coeffs": _coeff_strs(poly)}
 
 
-def certificate_payload(cert: DistinctnessCertificate, phi: LaurentPoly) -> dict:
-    """The schema-1 JSON object of a certificate, before serialization;
-    phi is cyclotomic(cert.phi_index), which the caller builds once per k."""
+def certificate_payload(cert: DistinctnessCertificate, poly_p, poly_k, phi) -> dict:
+    """The schema-1 JSON object of a certificate, before serialization.
+    poly_p, poly_k and phi are the JSON values of annihilator_poly(cert.p),
+    annihilator_poly(cert.k) and cyclotomic(cert.phi_index): poly_to_json
+    objects, or _Fragment texts of them that a sweep renders once each."""
     return {
         "schema_version": 1,
         "p": cert.p,
@@ -89,17 +91,56 @@ def certificate_payload(cert: DistinctnessCertificate, phi: LaurentPoly) -> dict
         "divides_in_k": cert.divides_in_k,
         "divides_in_p": cert.divides_in_p,
         "valid": cert.valid,
-        "polynomials": {
-            "annihilator_p": poly_to_json(cert.poly_p),
-            "annihilator_k": poly_to_json(cert.poly_k),
-            "phi": poly_to_json(phi),
-        },
+        "polynomials": {"annihilator_p": poly_p, "annihilator_k": poly_k, "phi": phi},
     }
 
 
+class _Fragment(str):
+    """JSON text already indented for the place it is written at."""
+
+
+def _indented(obj, pad: str) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for obj nested at
+    indentation pad, with a _Fragment written as it is.  Dicts are walked
+    here; a list, which is only ever of scalars, takes one compact C
+    json.dumps call, where indent=2 would take the pure-Python encoder."""
+    inner = pad + "  "
+    if isinstance(obj, _Fragment):
+        return obj
+    if isinstance(obj, dict) and obj:
+        items = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj)
+        )
+        return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, list) and obj:
+        items = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
+        return f"[\n{inner}{items}\n{pad}]"
+    return json.dumps(obj)
+
+
+def _certificate_writer(pad: str):
+    """The writer of every certificate's JSON: a function from a
+    certificate to json.dumps(certificate_payload(...), sort_keys=True,
+    indent=2) nested at indentation pad.  It builds and renders
+    annihilator_poly(j) and cyclotomic(n) once for each j and n it meets
+    and reuses the fragment in every later certificate that shows it."""
+    fragments = {}
+
+    def fragment(build, n):
+        if (build, n) not in fragments:
+            fragments[build, n] = _Fragment(_indented(poly_to_json(build(n)), pad + "    "))
+        return fragments[build, n]
+
+    return lambda cert: _indented(certificate_payload(
+        cert,
+        fragment(annihilator_poly, cert.p),
+        fragment(annihilator_poly, cert.k),
+        fragment(cyclotomic, cert.phi_index),
+    ), pad)
+
+
 def emit_certificate_json(cert: DistinctnessCertificate) -> str:
-    payload = certificate_payload(cert, cyclotomic(cert.phi_index))
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return _certificate_writer("")(cert)
 
 
 def _yesno(flag: bool) -> str:
@@ -136,8 +177,8 @@ def _certificate_text(cert: DistinctnessCertificate) -> str:
         f"mode: {cert.mode}",
         f"phi index: {cert.phi_index}",
         f"phi: {cyclotomic(cert.phi_index)}",
-        f"annihilator(p={cert.p}): {cert.poly_p}",
-        f"annihilator(k={cert.k}): {cert.poly_k}",
+        f"annihilator(p={cert.p}): {annihilator_poly(cert.p)}",
+        f"annihilator(k={cert.k}): {annihilator_poly(cert.k)}",
         "phi divides annihilator(k) and (t-1)*annihilator(k): "
         + _yesno(cert.divides_in_k),
         f"phi divides annihilator(p): {_yesno(cert.divides_in_p)}",
@@ -156,21 +197,25 @@ def _cmd_distinct(args, out) -> int:
 
 
 def _cmd_distinct_range(args, out) -> int:
-    certs = distinctness_certificates(args.min, args.max)
-    if args.json:
-        # one phi per k; the text sweep below prints none
-        phis = {n: cyclotomic(n) for n in {c.phi_index for c in certs}}
-        payloads = [certificate_payload(c, phis[c.phi_index]) for c in certs]
-        out.write(json.dumps(payloads, sort_keys=True, indent=2) + "\n")
-    else:
-        for c in certs:
+    # Each certificate is written as it arrives, the JSON array as
+    # json.dumps(list, indent=2) would write it, so memory stays O(max).
+    write = _certificate_writer("  ") if args.json else None
+    count = valid = 0
+    for c in iter_distinctness_certificates(args.min, args.max):
+        if write:
+            out.write(("[\n  " if count == 0 else ",\n  ") + write(c))
+        else:
             out.write(
                 f"p={c.p} k={c.k} mode={c.mode} phi_index={c.phi_index} "
                 f"valid={_yesno(c.valid)}\n"
             )
-        valid = sum(1 for c in certs if c.valid)
-        out.write(f"summary: {valid}/{len(certs)} certificates valid\n")
-    return 0 if all(c.valid for c in certs) else 1
+        count += 1
+        valid += c.valid
+    if write:
+        out.write("\n]\n" if count else "[]\n")
+    else:
+        out.write(f"summary: {valid}/{count} certificates valid\n")
+    return 0 if valid == count else 1
 
 
 def _cmd_gamma(args, out) -> int:
@@ -266,6 +311,9 @@ def _cmd_wp(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    # Imported here, so that only selftest compiles and runs the module.
+    from . import acceptance
+
     ok = acceptance.run_all(lambda line: out.write(line + "\n"))
     out.write("selftest: " + ("all criteria passed" if ok else "FAILURES") + "\n")
     return 0 if ok else 1

@@ -13,9 +13,8 @@ cyclotomic divisibility.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fox import (
     NotInfiniteCyclicAbelianization,
@@ -353,14 +352,14 @@ def derive_gamma_consistency(p: int) -> ConsistencyReport:
     return ConsistencyReport(p=p, verified=verified, steps=tuple(steps))
 
 
-def _annihilator_binomials(p: int) -> Counter[int]:
+def _annihilator_binomials(p: int) -> dict[int, int]:
     """{a: s} with annihilator_poly(p) = prod (t^a - 1)^s, the closed form
-    (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1)); for p = 1 every
-    s is 0.  As a Counter, its elements() are the numerator's exponents
-    and those of its negation the denominator's."""
-    binomials = Counter((p * (p + 1), 1))
-    binomials.subtract((p, p + 1))
-    return binomials
+    (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1)); every s is 1 (the
+    numerator's exponents, in that order) or -1 (the denominator's), and
+    for p = 1, where the factors cancel, there are none."""
+    if p == 1:
+        return {}
+    return {p * (p + 1): 1, 1: 1, p: -1, p + 1: -1}
 
 
 def _times_binomials(f: LaurentPoly, exponents: Iterable[int]) -> LaurentPoly:
@@ -394,8 +393,8 @@ def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
         return poly.canonical()
     if form == "closed":
         binomials = _annihilator_binomials(p)
-        quot = _times_binomials(LaurentPoly.one(), binomials.elements())
-        for a in (-binomials).elements():
+        quot = _times_binomials(LaurentPoly.one(), (a for a, s in binomials.items() if s > 0))
+        for a in (a for a, s in binomials.items() if s < 0):
             quot = divide_exact(quot, LaurentPoly({a: 1, 0: -1}))
         return quot.canonical()
     raise ValueError(f"unknown form {form!r}")
@@ -420,8 +419,7 @@ def order_ideal(p: int) -> tuple[Matrix, tuple[LaurentPoly, ...]]:
     return relations, elementary_ideal(relations, 0)
 
 
-@dataclass(frozen=True)
-class DistinctnessCertificate:
+class DistinctnessCertificate(NamedTuple):
     """Exact divisibility facts separating the groups for p < k.
 
     cyclotomic mode (p >= 2): Phi = cyclotomic(k(k+1)) divides both order
@@ -435,9 +433,10 @@ class DistinctnessCertificate:
 
     divides_in_k and divides_in_p are read off the multiplicity of Phi in
     the annihilator polynomials as quotients of binomials
-    (cyclotomic_multiplicity).  Phi itself is not held: it is
-    cyclotomic(phi_index), which the code that prints it builds, once per
-    k, and a text sweep never does.
+    (cyclotomic_multiplicity).  The record holds scalars only: Phi is
+    cyclotomic(phi_index) and the two annihilators are annihilator_poly(p)
+    and annihilator_poly(k), which the code that prints them builds, once
+    per k or j; a text sweep builds none.
     """
 
     p: int
@@ -447,64 +446,51 @@ class DistinctnessCertificate:
     divides_in_k: bool
     divides_in_p: bool
     valid: bool
-    poly_p: LaurentPoly
-    poly_k: LaurentPoly
 
 
-def _certificates(ps: Sequence[int], ks: Sequence[int]) -> list[DistinctnessCertificate]:
-    """The certificate for every pair p < k with p in ps and k in ks, both
-    ascending, in (p, k) order.
+def _certificates(ps: Sequence[int], ks: Sequence[int]) -> Iterator[DistinctnessCertificate]:
+    """Yield the certificate for every pair p < k with p in ps and k in ks,
+    both ascending, in (p, k) order.
 
-    annihilator_poly(j) is computed once for each j in ps or ks, and
-    checked once against its quotient of binomials (_annihilator_binomials)
-    by one sparse product, MismatchError if they differ.  Every
-    divisibility fact is then cyclotomic_multiplicity >= 1 on those
+    Before the first is yielded, annihilator_poly(j) is computed for each j
+    in ps or ks, checked against its quotient of binomials
+    (_annihilator_binomials) by one sparse product, MismatchError if they
+    differ, and dropped; only the four exponents of each j are kept, so
+    the memory held is O(len(ps) + len(ks)) however many pairs follow.
+    Every divisibility fact is then cyclotomic_multiplicity >= 1 on those
     exponents: divides_in_k once per k, the p = 1 unit-ideal fact once, and
     for each pair one sum over at most four exponents, with no polynomial
-    division and no cyclotomic polynomial built; a printer that shows phi
-    builds cyclotomic(phi_index) itself.  Nothing is kept after the call
-    returns.
+    division and no polynomial built.
     """
-    polys = {j: annihilator_poly(j) for j in {*ps, *ks}}
-    binomials = {j: _annihilator_binomials(j) for j in polys}
-    for j, poly in polys.items():
-        num = _times_binomials(LaurentPoly.one(), binomials[j].elements())
-        if _times_binomials(poly, (-binomials[j]).elements()) != num:
+    binomials, p1_ideal_is_unit = {}, False
+    for j in sorted({*ps, *ks}):
+        poly, binomials[j] = annihilator_poly(j), _annihilator_binomials(j)
+        num = _times_binomials(LaurentPoly.one(), [a for a, s in binomials[j].items() if s > 0])
+        if _times_binomials(poly, [a for a, s in binomials[j].items() if s < 0]) != num:
             raise MismatchError(
-                f"annihilator_poly({j}) = {poly} is not the quotient {dict(binomials[j])}"
+                f"annihilator_poly({j}) = {poly} is not the quotient {binomials[j]}"
             )
+        if j == 1:
+            # The order ideal of p contains pp_p^2 (see order_ideal), so a
+            # unit pp_1 makes the p = 1 ideal the whole ring.
+            p1_ideal_is_unit = poly.is_unit()
     # phi is prime in Z[t] and, as k(k+1) >= 6, not +-(t-1), so it divides
     # both order ideal generators of k, poly_k^2 and (t-1)*poly_k, or neither.
     in_k = {k: cyclotomic_multiplicity(k * (k + 1), binomials[k]) >= 1 for k in ks}
-    # The order ideal of p contains pp_p^2 (see order_ideal), so a unit
-    # pp_1 makes the p = 1 ideal the whole ring.
-    p1_ideal_is_unit = 1 in ps and polys[1].is_unit()
-    certs = []
     for p in ps:
+        binomials_p = binomials[p]
         for k in ks:
             if k <= p:
                 continue
-            divides_in_p = cyclotomic_multiplicity(k * (k + 1), binomials[p]) >= 1
+            n, divides_in_k = k * (k + 1), in_k[k]
+            divides_in_p = cyclotomic_multiplicity(n, binomials_p) >= 1
             # The one place the mode and validity rules live.
             if p >= 2:
-                mode = "cyclotomic"
-                valid = in_k[k] and not divides_in_p
+                mode, valid = "cyclotomic", divides_in_k and not divides_in_p
             else:
                 # phi is not a unit, so divides_in_k makes the order ideal of k proper
-                mode = "unit_ideal"
-                valid = p1_ideal_is_unit and in_k[k]
-            certs.append(DistinctnessCertificate(
-                p=p,
-                k=k,
-                mode=mode,
-                phi_index=k * (k + 1),
-                divides_in_k=in_k[k],
-                divides_in_p=divides_in_p,
-                valid=valid,
-                poly_p=polys[p],
-                poly_k=polys[k],
-            ))
-    return certs
+                mode, valid = "unit_ideal", p1_ideal_is_unit and divides_in_k
+            yield DistinctnessCertificate(p, k, mode, n, divides_in_k, divides_in_p, valid)
 
 
 def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
@@ -517,7 +503,16 @@ def distinctness_certificate(p: int, k: int) -> DistinctnessCertificate:
     """
     if p < 1 or p >= k:
         raise BadPair(f"need 1 <= p < k, got ({p}, {k})")
-    return _certificates([p], [k])[0]
+    return next(_certificates([p], [k]))
+
+
+def iter_distinctness_certificates(lo: int, hi: int) -> Iterator[DistinctnessCertificate]:
+    """distinctness_certificates(lo, hi) one at a time, holding O(hi - lo)
+    memory; BadPair is raised by the call itself, and a MismatchError
+    before the first certificate."""
+    if lo < 1 or hi < lo:
+        raise BadPair(f"need 1 <= min <= max, got ({lo}, {hi})")
+    return _certificates(range(lo, hi), range(lo + 1, hi + 1))
 
 
 def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]:
@@ -528,9 +523,7 @@ def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]
     >>> [(c.p, c.k, c.mode) for c in distinctness_certificates(1, 3)]
     [(1, 2, 'unit_ideal'), (1, 3, 'unit_ideal'), (2, 3, 'cyclotomic')]
     """
-    if lo < 1 or hi < lo:
-        raise BadPair(f"need 1 <= min <= max, got ({lo}, {hi})")
-    return _certificates(range(lo, hi), range(lo + 1, hi + 1))
+    return list(iter_distinctness_certificates(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+
+import knotcert
 
 from knotcert import cli
 from knotcert.cli import emit_certificate_json, poly_to_json, run
-from knotcert.constructions import distinctness_certificate, gamma_artifacts
+from knotcert.constructions import annihilator_poly, distinctness_certificate, gamma_artifacts
 from knotcert.laurent import LaurentPoly, cyclotomic
 
 
@@ -51,8 +56,8 @@ class TestCertificateJson:
             }
             assert set(polys) == {"annihilator_p", "annihilator_k", "phi"}
             for key, poly in (
-                ("annihilator_p", cert.poly_p),
-                ("annihilator_k", cert.poly_k),
+                ("annihilator_p", annihilator_poly(cert.p)),
+                ("annihilator_k", annihilator_poly(cert.k)),
                 ("phi", cyclotomic(cert.phi_index)),
             ):
                 assert polys[key] == {
@@ -149,6 +154,21 @@ class TestGolden:
             code, text = capture(["distinct-range", "--min", "1", "--max", "19"] + extra)
             assert code == 0
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_distinct_range_every_range_stdout_hash(self):
+        # sha256 of argv, exit code and stdout of distinct-range for every
+        # 1 <= lo <= hi <= 40 as text, every 1 <= lo <= hi <= 25 as JSON and
+        # 1..40 as JSON, from the producer that built the whole certificate
+        # list before the first line and wrote JSON by json.dumps(indent=2).
+        argvs = [[lo, hi] for lo in range(1, 41) for hi in range(lo, 41)]
+        argvs += [[lo, hi, "--json"] for lo in range(1, 26) for hi in range(lo, 26)]
+        argvs += [[1, 40, "--json"]]
+        h = hashlib.sha256()
+        for lo, hi, *extra in argvs:
+            argv = ["distinct-range", "--min", str(lo), "--max", str(hi)] + extra
+            code, text = capture(argv)
+            h.update(f"{' '.join(argv)}\n{code}\n{text}".encode("utf-8"))
+        assert h.hexdigest() == "d1f0e99750935cb295187db796692d35c859f3d840f222b9e7d934962bb7be95"
 
     def test_distinct_stdout_hash(self):
         # sha256 of exit codes and stdout of distinct --p P --k K for
@@ -410,3 +430,52 @@ class TestParserReuse:
             fresh.append(capture(argv))
         assert reused == fresh
         assert [code for code, _ in reused] == [0, 2, 0, 2, 0, 2, 0, 0, 2, 0]
+
+
+# A process starts with the peak RSS of the one it was forked from as its
+# own ru_maxrss (Linux folds the old address space's peak in at exec), so a
+# child of this test process would read its growth against pytest's peak.
+# The child is therefore started by a small interpreter in between.
+_LAUNCH = (
+    "import subprocess, sys; "
+    "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)"
+)
+
+
+def _child(script: str) -> str:
+    """Run script in a fresh interpreter that imports this knotcert; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knotcert.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LAUNCH, script],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestFootprint:
+    def test_importing_the_cli_leaves_acceptance_unloaded(self):
+        # Only selftest needs the acceptance suite, so only it imports it.
+        script = "import sys, knotcert.cli; print('knotcert.acceptance' in sys.modules)"
+        assert _child(script) == "False\n"
+
+    def test_sweep_memory_does_not_grow_with_the_pairs(self):
+        # The sweep writes each certificate as it is made: 179 700 pairs to
+        # 600 took about 63 MB of peak RSS past the warm-up when they were
+        # listed first, and take well under 1 MB streamed.
+        script = """
+import resource, sys
+from knotcert.cli import run
+class Null:
+    def write(self, text):
+        return len(text)
+run(["distinct-range", "--min", "1", "--max", "60"], Null())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = run(["distinct-range", "--min", "1", "--max", "600"], Null())
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(code, grown * (1 if sys.platform == "darwin" else 1024))
+"""
+        code, grown = map(int, _child(script).split())
+        assert code == 0
+        assert grown < 10 * 2**20

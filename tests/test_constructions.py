@@ -392,8 +392,8 @@ class TestDistinctnessSweep:
             got = distinctness_certificates(lo, hi)
             assert len(got) == len(expected) == math.comb(hi - lo + 1, 2)
             for g, e in zip(got, expected):
-                for field in dataclasses.fields(e):
-                    assert getattr(g, field.name) == getattr(e, field.name), (lo, hi, g.p, g.k, field.name)
+                for name in e._fields:
+                    assert getattr(g, name) == getattr(e, name), (lo, hi, g.p, g.k, name)
 
     def test_bad_range(self):
         with pytest.raises(BadPair):
