@@ -14,14 +14,17 @@ series t^d + t^(d + deg g) + ... + t^(d + (e-1) deg g) for e > 0, and
 group-ring route (:func:`fox_derivative` then :func:`abelianize_element`)
 computes the same entries and serves as the reference.
 
-:func:`alexander_polynomial` shrinks the matrix before taking any
-determinant.  Elementary ideals are invariant under elementary row and
-column operations (Crowell-Fox, ch. VII; Lickorish, ch. 6), so a unit
-entry +-t^k can clear its column and then be deleted with its row and
-column without changing E_k, k counted by column deficiency.  Unit
-pivots are taken in order of least Markowitz cost, which keeps later
-pivots units: Wirtinger presentations of T(p, p+1) shrink to 2x2 and
-their seam quotients to 3x2 for every p.
+:func:`alexander_polynomial` builds the same rows sparse, with no dense
+matrix, and shrinks them before taking any determinant.  Elementary
+ideals are invariant under elementary row and column operations
+(Crowell-Fox, ch. VII; Lickorish, ch. 6), so a unit entry +-t^k can
+clear its column and then be deleted with its row and column without
+changing E_k, k counted by column deficiency.
+:func:`intlinalg.eliminate_unit_pivots` takes the unit pivots in order of
+least Markowitz cost, which keeps later pivots units: Wirtinger
+presentations of T(p, p+1) shrink to 2x2 and their seam quotients to 3x2
+for every p.  It updates only the rows of each pivot's column, so its
+cost follows the nonzero entries, not the matrix size.
 
 It then takes one determinant per row set, not every maximal minor.
 Fox's fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, abelianizes
@@ -41,7 +44,7 @@ import itertools
 import math
 from typing import Iterable, Mapping
 
-from .intlinalg import Matrix
+from .intlinalg import Matrix, eliminate_unit_pivots
 from .laurent import LaurentPoly, divide_exact, laurent_det, laurent_gcd, minors
 from .presentations import Presentation, abelianization
 from .words import Word
@@ -177,10 +180,11 @@ def abelianize_element(
 
 def _fox_row(
     relator: Word, column: Mapping[str, int], degree_map: Mapping[str, int]
-) -> list[list[tuple[int, int]]]:
+) -> dict[int, dict[int, int]]:
     # One pass over the syllables with a running prefix degree d; each
-    # column collects (exponent, coefficient) terms for LaurentPoly to sum.
-    row: list[list[tuple[int, int]]] = [[] for _ in column]
+    # column sums its terms into one coefficient map, and the zero
+    # coefficients and entries left by cancellation are then dropped.
+    row: dict[int, dict[int, int]] = {}
     d = 0
     for g, e in relator.syllables:
         deg = degree_map.get(g)
@@ -188,12 +192,23 @@ def _fox_row(
             raise UnmappedGenerator(f"no degree assigned for generator {g!r}")
         j = column.get(g)
         if j is not None:
-            if e > 0:
-                row[j].extend((d + i * deg, 1) for i in range(e))
-            else:
-                row[j].extend((d - i * deg, -1) for i in range(1, 1 - e))
+            x = row.setdefault(j, {})
+            sign, k = (1, d) if e > 0 else (-1, d - deg)
+            for _ in range(abs(e)):
+                x[k] = x.get(k, 0) + sign
+                k += sign * deg
         d += e * deg
+    for j in [j for j, x in row.items() if not all(x.values())]:
+        x = {k: c for k, c in row[j].items() if c}
+        if x:
+            row[j] = x
+        else:
+            del row[j]
     return row
+
+
+def _laurent(x: dict[int, int] | None) -> LaurentPoly:
+    return LaurentPoly._trusted(x) if x else LaurentPoly()
 
 
 def fox_matrix(
@@ -206,11 +221,8 @@ def fox_matrix(
     generator with no degree.
     """
     column = {g: j for j, g in enumerate(generators)}
-    rels = tuple(relators)
-    entries = [
-        LaurentPoly(terms) for r in rels for terms in _fox_row(r, column, degree_map)
-    ]
-    return Matrix(len(rels), len(column), entries)
+    rows = [_fox_row(r, column, degree_map) for r in relators]
+    return Matrix(len(rows), len(column), [_laurent(row.get(j)) for row in rows for j in range(len(column))])
 
 
 def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> Matrix:
@@ -245,52 +257,14 @@ def elementary_ideal(M: Matrix, k: int) -> tuple[LaurentPoly, ...]:
     return gens
 
 
-def _eliminate_unit_pivots(M: Matrix) -> tuple[Matrix, list[int]]:
-    """Delete unit pivots +-t^k with their row and column after clearing
-    their column by exact row operations; E_k is unchanged for every k.
-    Returns the reduced matrix and, for each of its columns, the index of
-    the column of M it came from.
-
-    Each step takes the unit of least Markowitz cost
-    (row nnz - 1) * (col nnz - 1), first in row-major order on ties, and
-    stops when no entry is a unit.  Every minor of the result is, up to
-    a unit, a minor of M one size larger per deleted pivot.
-    """
-    grid = M.row_lists()
-    kept = list(range(M.cols))
-    while True:
-        col_nnz = [sum(1 for row in grid if row[j]) for j in range(len(kept))]
-        best = None
-        for i, row in enumerate(grid):
-            row_nnz = sum(1 for x in row if x)
-            for j, x in enumerate(row):
-                if x.is_unit():
-                    cost = (row_nnz - 1) * (col_nnz[j] - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
-            return Matrix(len(grid), len(kept), [x for row in grid for x in row]), kept
-        _, i, j = best
-        pivot_row = grid.pop(i)
-        ((k, c),) = pivot_row[j].items()
-        inverse = LaurentPoly({-k: c})
-        for row in grid:
-            if row[j]:
-                factor = row[j] * inverse
-                for col, y in enumerate(pivot_row):
-                    if y:
-                        row[col] = row[col] - factor * y
-            del row[j]
-        del kept[j]
-
-
 def alexander_polynomial(P: Presentation) -> LaurentPoly:
     """Canonical generator of the smallest principal ideal containing the
     first elementary ideal of the Alexander matrix, i.e. the gcd of all
     maximal minors, taken as one determinant per row set.
 
-    The matrix M is reduced by :func:`_eliminate_unit_pivots` to an
-    r x c matrix M' with the same first elementary ideal.  Fox's
+    The sparse Fox rows of M are reduced by
+    :func:`intlinalg.eliminate_unit_pivots` to an r x c matrix M' with the
+    same first elementary ideal.  Fox's
     fundamental formula, sum_j (dr/dx_j)(x_j - 1) = r - 1, abelianizes to
     M v = 0 with v_j = t^(d_j) - 1 for the degree map d.  Row operations
     keep M v = 0, and a pivot's column is zero in every other row before it
@@ -325,7 +299,9 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
         raise NotInfiniteCyclicAbelianization(
             f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
         )
-    M, kept = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, ab.degree_map))
+    column = {g: j for j, g in enumerate(P.generators)}
+    rows = [_fox_row(r, column, ab.degree_map) for r in P.relators]
+    M, kept = eliminate_unit_pivots(rows, len(column), _laurent)
     degrees = [abs(ab.degree_map[P.generators[j]]) for j in kept]
     if math.gcd(*degrees) != 1:
         raise BrokenInvariant(f"the kept generators have degrees {degrees}, gcd not 1")

@@ -9,13 +9,16 @@ fraction-free elimination, over any integral domain.  It serves
 of packed Laurent matrices larger than 6 x 6.
 
 smith_normal_form produces unimodular U, V with U*A*V = D, where D is
-diagonal with nonnegative entries d1 | d2 | ... ; D is unique.  Used to
-compute abelianizations of finitely presented groups from relator
-exponent-sum matrices.
+diagonal with nonnegative entries d1 | d2 | ... ; D is unique.
+Abelianizations run it only on what :func:`eliminate_unit_pivots` leaves
+of a relator exponent-sum matrix, after the unit pivots are gone (Dumas,
+Saunders and Villard, J. Symbolic Comput. 32, 2001); the same sparse
+elimination shrinks the Fox matrices before their minors are taken.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -244,3 +247,117 @@ def smith_normal_form(A: Matrix) -> SnfResult:
         D=Matrix(m, n, [e for row in D for e in row]),
         V=Matrix.from_rows(V) if n else Matrix(0, 0, []),
     )
+
+
+def eliminate_unit_pivots(
+    rows: list[dict[int, dict[int, int]]],
+    cols: int,
+    entry: Callable[[dict[int, int] | None], T],
+    pivots: list[tuple[int, dict[int, dict[int, int]]]] | None = None,
+) -> tuple[Matrix, list[int]]:
+    """Delete unit pivots with their row and column after clearing their
+    column by exact row operations, on sparse rows over Z[t, t^-1].
+
+    Each row maps a column to its nonzero entry, a coefficient map
+    {exponent: coefficient} with no zero value; an integer a is {0: a}.
+    A unit is +-t^k.  Each step takes the unit of least Markowitz cost
+    (row nnz - 1) * (col nnz - 1), first in row-major order on ties, and
+    the steps stop when no entry is a unit.  Row operations and the
+    deletion keep every elementary ideal, and over Z every invariant
+    factor but the 1 each pivot takes away.  The update row[c] -= f * y,
+    y the pivot row's entry and f the row's entry in the pivot column
+    times the pivot's inverse (a shift and a sign), runs on the maps in
+    place, so rows are consumed.
+
+    Only the rows of the pivot's column change, and only the counts of
+    the pivot row's columns, so a step costs what it touches.  A heap
+    keys each row with units by a lower bound on its least cost,
+    (row nnz - 1) * lo with lo at most the least col nnz - 1 over its
+    unit columns; a step pushes the rows it changed and those whose lo it
+    lowered, and leaves stale keys behind.  A popped row is scanned for
+    its exact least cost.  If the key was exact the row holds the pivot,
+    since every other row's key is at least as large and, among equal
+    keys, the first row pops first; if not, it goes back with that cost.
+
+    Returns the rows left, at the kept columns and with each entry passed
+    through ``entry`` (None for a zero), as a Matrix, and the kept column
+    indices.  A ``pivots`` list, when given, receives in elimination order
+    each pivot's column j and its row, which holds the pivot entry, so
+    that row[j] * x_j = -sum(row[c] * x_c), c != j, on the kernel.
+    """
+    col_rows: list[set[int] | None] = [set() for _ in range(cols)]
+    row_units: list[set[int]] = []
+    for i, row in enumerate(rows):
+        units = set()
+        for j, x in row.items():
+            col_rows[j].add(i)
+            if len(x) == 1 and next(iter(x.values())) in (1, -1):
+                units.add(j)
+        row_units.append(units)
+    lo = [min([len(col_rows[j]) for j in units], default=1) - 1 for units in row_units]
+    heap = [((len(rows[i]) - 1) * lo[i], i) for i in range(len(rows)) if row_units[i]]
+    heapq.heapify(heap)
+    while heap:
+        key, i = heapq.heappop(heap)
+        row, units = rows[i], row_units[i]
+        if row is None or not units:
+            continue
+        if len(units) == 1:
+            (j,) = units
+            n = len(col_rows[j])
+        else:
+            n, j = min([(len(col_rows[j]), j) for j in units])
+        lo[i] = n - 1
+        cost = (len(row) - 1) * lo[i]
+        if cost != key:
+            heapq.heappush(heap, (cost, i))
+            continue
+        rows[i] = None
+        ((k, u),) = row[j].items()
+        pivot = [(col, y.items()) for col, y in row.items() if col != j]
+        targets = col_rows[j]
+        col_rows[j] = None
+        targets.discard(i)
+        for col, _ in pivot:
+            col_rows[col].discard(i)
+        for r in targets:
+            target, units = rows[r], row_units[r]
+            units.discard(j)
+            factor = [(e - k, u * v) for e, v in target.pop(j).items()]
+            for col, y in pivot:
+                x = target.get(col)
+                if x is None:
+                    x = target[col] = {}
+                    col_rows[col].add(r)
+                for e1, c1 in factor:
+                    for e2, c2 in y:
+                        e = e1 + e2
+                        v = x.get(e, 0) - c1 * c2
+                        if v:
+                            x[e] = v
+                        else:
+                            del x[e]
+                if len(x) == 1 and next(iter(x.values())) in (1, -1):
+                    units.add(col)
+                else:
+                    units.discard(col)
+                    if not x:
+                        del target[col]
+                        col_rows[col].discard(r)
+        if pivots is not None:
+            pivots.append((j, row))
+        # Column counts moved only on the pivot row's columns; every new
+        # unit is in one of them too.
+        dirty = targets
+        for col, _ in pivot:
+            n = len(col_rows[col]) - 1
+            for r in col_rows[col]:
+                if n < lo[r] and col in row_units[r]:
+                    lo[r] = n
+                    dirty.add(r)
+        for r in dirty:
+            if row_units[r]:
+                heapq.heappush(heap, ((len(rows[r]) - 1) * lo[r], r))
+    kept = [j for j in range(cols) if col_rows[j] is not None]
+    rest = [row for row in rows if row is not None]
+    return Matrix(len(rest), len(kept), [entry(row.get(j)) for row in rest for j in kept]), kept

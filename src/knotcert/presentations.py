@@ -1,5 +1,8 @@
 """Finitely presented groups: presentations, scripted Tietze moves, and
-abelianization via Smith normal form.
+abelianization.  The sparse exponent-sum rows lose their unit pivots
+first, each one solving a relator for a generator, and Smith normal form
+runs only on what is left (Dumas, Saunders and Villard, J. Symbolic
+Comput. 32, 2001); the degree map is back-substituted through the pivots.
 
 Relators are stored freely and cyclically reduced; two relators are "the
 same" up to cyclic permutation and inversion, and eliminate_generator
@@ -14,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .intlinalg import Matrix, smith_normal_form
+from .intlinalg import Matrix, eliminate_unit_pivots, smith_normal_form
 from .words import ForeignGenerator, Word, relator_equivalent
 
 
@@ -84,16 +87,24 @@ class AbelianizationResult:
         return self.free_rank == 1 and not self.torsion
 
 
-def exponent_matrix(P: Presentation) -> Matrix:
-    """Relator exponent sums: one row per relator, one column per generator."""
+def _exponent_rows(P: Presentation) -> list[dict[int, int]]:
+    # relator exponent sums by generator index, zeros included
     index = {g: j for j, g in enumerate(P.generators)}
     rows = []
     for r in P.relators:
-        row = [0] * len(P.generators)
+        row: dict[int, int] = {}
         for g, e in r.syllables:
-            row[index[g]] += e
+            j = index[g]
+            row[j] = row.get(j, 0) + e
         rows.append(row)
-    return Matrix(len(P.relators), len(P.generators), [e for row in rows for e in row])
+    return rows
+
+
+def exponent_matrix(P: Presentation) -> Matrix:
+    """Relator exponent sums: one row per relator, one column per generator."""
+    n = len(P.generators)
+    rows = _exponent_rows(P)
+    return Matrix(len(rows), n, [row.get(j, 0) for row in rows for j in range(n)])
 
 
 def add_relator(P: Presentation, w: Word) -> Presentation:
@@ -135,25 +146,40 @@ def eliminate_generator(P: Presentation, gen: str, defining: Word) -> Presentati
 
 
 def abelianization(P: Presentation) -> AbelianizationResult:
-    """Invariant factors of the abelianized group, from the SNF of the
-    exponent-sum matrix.  When the result is infinite cyclic, a degree map
-    is attached: the generator images under a fixed isomorphism to Z,
-    signed so the first generator with nonzero image maps positively.
+    """Invariant factors of the abelianized group.  When the result is
+    infinite cyclic, a degree map is attached: the generator images under
+    a fixed isomorphism to Z, signed so the first generator with nonzero
+    image maps positively.
+
+    :func:`eliminate_unit_pivots` deletes the +-1 pivots of the sparse
+    exponent-sum rows, and :func:`smith_normal_form` diagonalizes the
+    rest: each pivot adds a 1 to the diagonal, so the rank is the pivot
+    count plus the rest's rank and the torsion is the rest's.  The degree
+    map spans the kernel, which is rank one; its entries at the kept
+    columns are a column of the rest's V, and each pivot row, solved for
+    its generator in reverse order, gives the others.  That vector is
+    primitive because its kept entries are, so it is the dense route's
+    degree map up to the sign the rule fixes.
     """
     n = len(P.generators)
-    snf = smith_normal_form(exponent_matrix(P))
+    rows = [{j: {0: e} for j, e in row.items() if e} for row in _exponent_rows(P)]
+    pivots: list = []
+    rest, kept = eliminate_unit_pivots(rows, n, lambda x: x[0] if x else 0, pivots)
+    snf = smith_normal_form(rest)
     diag = snf.diagonal()
-    rank = sum(1 for d in diag if d)
-    free_rank = n - rank
+    free_rank = n - len(pivots) - sum(1 for d in diag if d)
     torsion = tuple(d for d in diag if d > 1)
     degree_map = None
     if free_rank == 1 and not torsion:
-        # kernel of the exponent matrix = V * e_j for the unique index j
-        # whose diagonal entry is absent or zero
+        # kernel of the rest = V * e_j for the unique index j whose
+        # diagonal entry is absent or zero
         free_index = next(
-            j for j in range(n) if j >= len(diag) or diag[j] == 0
+            j for j in range(len(kept)) if j >= len(diag) or diag[j] == 0
         )
-        column = snf.V.column(free_index)
+        x = dict(zip(kept, snf.V.column(free_index)))
+        for j, row in reversed(pivots):
+            x[j] = -row[j][0] * sum(y[0] * x[c] for c, y in row.items() if c != j)
+        column = [x[j] for j in range(n)]
         first = next(c for c in column if c)
         if first < 0:
             column = [-c for c in column]

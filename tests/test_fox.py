@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from knotcert import fox, laurent
+from knotcert import fox, laurent, presentations
 from knotcert.cli import run
 from knotcert.constructions import (
     annihilator_poly,
@@ -20,7 +20,8 @@ from knotcert.fox import (
     GroupRingElement,
     NotInfiniteCyclicAbelianization,
     UnmappedGenerator,
-    _eliminate_unit_pivots,
+    _fox_row,
+    _laurent,
     abelianize_element,
     alexander_matrix,
     alexander_polynomial,
@@ -28,7 +29,7 @@ from knotcert.fox import (
     fox_derivative,
     fox_matrix,
 )
-from knotcert.intlinalg import Matrix
+from knotcert.intlinalg import Matrix, eliminate_unit_pivots
 from knotcert.laurent import LaurentPoly, divide_exact, laurent_gcd
 from knotcert.fileformat import parse_presentation
 from knotcert.presentations import (
@@ -315,6 +316,64 @@ def _random_matrix(rng, rows, cols):
     return Matrix(rows, cols, [x for row in grid for x in row])
 
 
+def _dense_eliminate_unit_pivots(M):
+    # The dense elimination the library replaced, kept as the oracle: it
+    # rescans the whole grid for every pivot.  Each step takes the unit of
+    # least Markowitz cost (row nnz - 1) * (col nnz - 1), first in
+    # row-major order on ties, clears its column with LaurentPoly row
+    # operations and deletes its row and column.
+    grid = M.row_lists()
+    kept = list(range(M.cols))
+    while True:
+        col_nnz = [sum(1 for row in grid if row[j]) for j in range(len(kept))]
+        best = None
+        for i, row in enumerate(grid):
+            row_nnz = sum(1 for x in row if x)
+            for j, x in enumerate(row):
+                if x.is_unit():
+                    cost = (row_nnz - 1) * (col_nnz[j] - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+        if best is None:
+            return Matrix(len(grid), len(kept), [x for row in grid for x in row]), kept
+        _, i, j = best
+        pivot_row = grid.pop(i)
+        ((k, c),) = pivot_row[j].items()
+        inverse = LaurentPoly({-k: c})
+        for row in grid:
+            if row[j]:
+                factor = row[j] * inverse
+                for col, y in enumerate(pivot_row):
+                    if y:
+                        row[col] = row[col] - factor * y
+            del row[j]
+        del kept[j]
+
+
+def _eliminate_unit_pivots(M):
+    # The library's sparse elimination on the rows of a dense matrix.
+    rows = [{j: dict(x.items()) for j, x in enumerate(row) if x} for row in M.row_lists()]
+    return eliminate_unit_pivots(rows, M.cols, _laurent)
+
+
+def _reduced_fox_rows(P):
+    # What alexander_polynomial reduces: sparse Fox rows, with no Matrix.
+    column = {g: j for j, g in enumerate(P.generators)}
+    degree_map = abelianization(P).degree_map
+    return eliminate_unit_pivots(
+        [_fox_row(r, column, degree_map) for r in P.relators], len(column), _laurent
+    )
+
+
+PRESENT_FORMS = (
+    torus_wirtinger,
+    lambda p: standard_presentation(p, p + 1),
+    gamma_presentation,
+    gamma_tab_presentation,
+    lambda p: double_presentation(p)[0],
+)
+
+
 class TestUnitPivotElimination:
     def test_every_elementary_ideal_matches_full_minors(self):
         # Full minors of the unreduced matrix are the oracle.  Every minor
@@ -354,6 +413,53 @@ class TestUnitPivotElimination:
         assert _eliminate_unit_pivots(empty) == (empty, [0, 1, 2])
         units = Matrix(2, 2, [ONE, -ONE, LaurentPoly.t_power(2), LaurentPoly.zero()])
         assert _eliminate_unit_pivots(units) == (Matrix(0, 0, []), [])
+
+
+class TestSparseEliminationOracle:
+    # The sparse elimination must give exactly the dense oracle's reduced
+    # matrix and kept columns: same pivots, in the same order.
+    def test_random_matrices(self):
+        rng = random.Random(35)
+        for _ in range(240):
+            M = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            assert _eliminate_unit_pivots(M) == _dense_eliminate_unit_pivots(M), M
+
+    def test_random_sparse_matrices(self):
+        # Larger and sparser than the 240 above, so that pivots change the
+        # costs of rows they do not touch and fill in new units.
+        rng = random.Random(36)
+        for _ in range(60):
+            rows, cols = rng.randint(4, 14), rng.randint(4, 14)
+            M = Matrix(rows, cols, [
+                LaurentPoly.zero() if r < 0.55 else
+                LaurentPoly({rng.randint(-3, 3): rng.choice((-1, 1))}) if r < 0.8 else
+                _random_poly(rng)
+                for r in (rng.random() for _ in range(rows * cols))
+            ])
+            assert _eliminate_unit_pivots(M) == _dense_eliminate_unit_pivots(M), M
+
+    def test_fox_matrix_of_every_present_form(self):
+        for build in PRESENT_FORMS:
+            for p in range(2, 41):
+                P = build(p)
+                M = fox_matrix(P.generators, P.relators, abelianization(P).degree_map)
+                assert _reduced_fox_rows(P) == _dense_eliminate_unit_pivots(M), p
+
+    def test_wirtinger_and_seam_presentations(self):
+        for p in range(2, 61):
+            P = torus_wirtinger(p)
+            for Q in (P, add_relator(P, tau_word(p))):
+                M = fox_matrix(Q.generators, Q.relators, abelianization(Q).degree_map)
+                assert _reduced_fox_rows(Q) == _dense_eliminate_unit_pivots(M), p
+
+    def test_pivot_rows_are_returned_with_their_pivot(self):
+        # [[t, 1 + t], [2, 3]]: the pivot t clears the second row to
+        # 3 - 2 t^-1 (1 + t), and its row comes back as it was.
+        rows = [{0: {1: 1}, 1: {0: 1, 1: 1}}, {0: {0: 2}, 1: {0: 3}}]
+        pivots = []
+        R, kept = eliminate_unit_pivots(rows, 2, _laurent, pivots)
+        assert (R, kept) == (Matrix(1, 1, [LaurentPoly({-1: -2, 0: 1})]), [1])
+        assert pivots == [(0, {0: {1: 1}, 1: {0: 1, 1: 1}})]
 
 
 class TestAlexanderAtScale:
@@ -396,14 +502,34 @@ class TestAlexanderAtScale:
             alexander_polynomial(add_relator(P, tau_word(p)))
             assert sizes == [1, 1, 1], p
 
+    def test_wide_presentations_stay_sparse(self, monkeypatch):
+        # Structural, not wall-clock: at p = 300 the Fox rows never form a
+        # dense matrix, and abelianization hands Smith normal form only the
+        # 1 x 1 (Wirtinger) or 2 x 1 (seam quotient) left by the unit pivots.
+        def no_dense(*args):
+            raise AssertionError("alexander_polynomial built a dense Fox matrix")
+
+        shapes = []
+        real = presentations.smith_normal_form
+        monkeypatch.setattr(fox, "fox_matrix", no_dense)
+        monkeypatch.setattr(
+            presentations, "smith_normal_form", lambda M: shapes.append((M.rows, M.cols)) or real(M)
+        )
+        P = torus_wirtinger(300)
+        for Q in (P, add_relator(P, tau_word(300))):
+            shapes.clear()
+            assert alexander_polynomial(Q) == (annihilator_poly(300) if Q is P else ONE)
+            assert len(shapes) == 1 and shapes[0][0] <= 2 and shapes[0][1] <= 2, shapes
+
 
 def _delta_by_full_minors(P, reduce=False):
     # The gcd of every maximal minor, the route the one-determinant formula
-    # replaces: of the unit-pivot reduced matrix when reduce is set, which
-    # has the same first elementary ideal, else of the whole matrix.
+    # replaces: of the dense oracle's unit-pivot reduced matrix when reduce
+    # is set, which has the same first elementary ideal, else of the whole
+    # matrix.
     M = fox_matrix(P.generators, P.relators, abelianization(P).degree_map)
     if reduce:
-        M, _ = _eliminate_unit_pivots(M)
+        M, _ = _dense_eliminate_unit_pivots(M)
     return laurent_gcd(elementary_ideal(M, 1))
 
 
@@ -430,14 +556,7 @@ def _chain(g):
 
 class TestOneDeterminantPerRowSet:
     def test_matches_full_minors_on_every_present_form(self):
-        builders = (
-            torus_wirtinger,
-            lambda p: standard_presentation(p, p + 1),
-            gamma_presentation,
-            gamma_tab_presentation,
-            lambda p: double_presentation(p)[0],
-        )
-        for build in builders:
+        for build in PRESENT_FORMS:
             for p in range(2, 13):
                 P = build(p)
                 assert alexander_polynomial(P) == _delta_by_full_minors(P, reduce=True), p
@@ -456,7 +575,7 @@ class TestOneDeterminantPerRowSet:
         for _ in range(300):
             P = _random_z_presentation(rng)
             degree_map = abelianization(P).degree_map
-            M, kept = _eliminate_unit_pivots(fox_matrix(P.generators, P.relators, degree_map))
+            M, kept = _dense_eliminate_unit_pivots(fox_matrix(P.generators, P.relators, degree_map))
             degrees = [abs(degree_map[P.generators[j]]) for j in kept]
             seen["division"] += min(d for d in degrees if d) > 1
             seen["zero degree"] += 0 in degrees

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from knotcert import presentations
+from knotcert.constructions import tau_word, torus_wirtinger
+from knotcert.intlinalg import smith_normal_form
 from knotcert.presentations import (
+    AbelianizationResult,
     NoDefiningRelator,
     Presentation,
     abelianization,
@@ -196,3 +200,81 @@ class TestAbelianization:
             for r in P.relators:
                 assert r.degree(ab.degree_map) == 0
         assert found > 20
+
+
+def dense_abelianization(P):
+    # The dense route the library replaced, kept as the oracle: Smith normal
+    # form of the whole exponent matrix, the degree map a column of V.
+    n = len(P.generators)
+    snf = smith_normal_form(exponent_matrix(P))
+    diag = snf.diagonal()
+    free_rank = n - sum(1 for d in diag if d)
+    torsion = tuple(d for d in diag if d > 1)
+    degree_map = None
+    if free_rank == 1 and not torsion:
+        free_index = next(j for j in range(n) if j >= len(diag) or diag[j] == 0)
+        column = snf.V.column(free_index)
+        if next(c for c in column if c) < 0:
+            column = [-c for c in column]
+        degree_map = dict(zip(P.generators, column))
+    return AbelianizationResult(free_rank=free_rank, torsion=torsion, degree_map=degree_map)
+
+
+def random_integer_presentation(rng):
+    # 1-6 generators and 0-8 relators of small exponents, so that free
+    # rank 0, 1 and >= 2 all occur, with and without torsion
+    n = rng.randint(1, 6)
+    gens = [f"g{i}" for i in range(n)]
+    relators = [
+        Word([(rng.choice(gens), rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))) for _ in range(rng.randint(1, 6))])
+        for _ in range(rng.randint(0, n + 2))
+    ]
+    return Presentation(gens, relators)
+
+
+class TestSparseAbelianizationOracle:
+    # Free rank, torsion and degree map must equal the dense route's.
+    def test_every_present_form(self):
+        from test_fox import PRESENT_FORMS
+
+        for build in PRESENT_FORMS:
+            for p in range(2, 41):
+                P = build(p)
+                assert abelianization(P) == dense_abelianization(P), p
+
+    def test_wirtinger_and_seam_presentations(self):
+        for p in range(2, 61):
+            P = torus_wirtinger(p)
+            Q = add_relator(P, tau_word(p))
+            assert abelianization(P) == dense_abelianization(P), p
+            assert abelianization(Q) == dense_abelianization(Q), p
+
+    def test_random_integer_presentations(self):
+        rng = random.Random(24)
+        seen = {"rank 0": 0, "rank 1": 0, "rank >= 2": 0, "torsion": 0, "Z": 0}
+        for _ in range(600):
+            P = random_integer_presentation(rng)
+            ab = abelianization(P)
+            assert ab == dense_abelianization(P), P
+            seen["rank 0"] += ab.free_rank == 0
+            seen["rank 1"] += ab.free_rank == 1
+            seen["rank >= 2"] += ab.free_rank >= 2
+            seen["torsion"] += bool(ab.torsion)
+            seen["Z"] += ab.is_infinite_cyclic()
+        assert min(seen.values()) >= 40, seen
+
+    def test_pivots_leave_a_small_remainder_to_smith_normal_form(self, monkeypatch):
+        shapes = []
+        real = presentations.smith_normal_form
+        monkeypatch.setattr(
+            presentations, "smith_normal_form", lambda M: shapes.append((M.rows, M.cols)) or real(M)
+        )
+        trefoil = trefoil_wirtinger()
+        assert abelianization(trefoil).degree_map == {"z": 3, "a1": 1, "a2": 1}
+        # the first relator is solved for z and the second for a1; the
+        # third relator's exponent sums are then zero against a2, the one
+        # column left
+        assert shapes == [(1, 1)]
+        shapes.clear()
+        assert abelianization(Presentation(("x", "y"), [W(("x", 2), ("y", 3))])).degree_map == {"x": 3, "y": -2}
+        assert shapes == [(1, 2)]

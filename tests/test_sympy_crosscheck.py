@@ -1,4 +1,5 @@
-"""Cross-checks of the Laurent kernels against sympy at small sizes.
+"""Cross-checks of the Laurent kernels and of Smith normal form against
+sympy at small sizes.
 
 sympy is a test-only oracle; knotcert itself has no runtime dependencies.
 """
@@ -7,9 +8,12 @@ import random
 
 import pytest
 
+from knotcert import presentations
 from knotcert.laurent import LaurentPoly, cyclotomic, laurent_det, laurent_gcd
+from knotcert.presentations import abelianization
 
 sympy = pytest.importorskip("sympy")
+normalforms = pytest.importorskip("sympy.matrices.normalforms")
 
 t = sympy.Symbol("t")
 
@@ -72,3 +76,32 @@ def test_gcd_of_tall_fox_entries_matches_sympy():
         fy = LaurentPoly([(e * i, 1) for i in range(e + 1)])
         expected = sympy.gcd(to_sympy(fx), to_sympy(fy))
         assert laurent_gcd([fx, fy]) == from_sympy(expected, 0).canonical(), e
+
+
+def test_abelianization_remainder_snf_matches_sympy(monkeypatch):
+    # The matrix left after unit-pivot elimination is the only one
+    # abelianization hands to smith_normal_form; its diagonal must be
+    # sympy's, and so must the invariants of the whole exponent matrix.
+    from test_presentations import random_integer_presentation
+
+    seen = []
+    real = presentations.smith_normal_form
+    monkeypatch.setattr(presentations, "smith_normal_form", lambda M: seen.append(M) or real(M))
+    rng = random.Random(25)
+    nontrivial = 0
+    for _ in range(150):
+        P = random_integer_presentation(rng)
+        seen.clear()
+        ab = abelianization(P)
+        (rest,) = seen
+        nontrivial += rest.rows > 0 and rest.cols > 0 and any(rest.entries)
+        ours = [d for d in real(rest).diagonal() if d]
+        D = normalforms.smith_normal_form(sympy.Matrix(rest.rows, rest.cols, list(rest.entries)), domain=sympy.ZZ)
+        theirs = [abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]]
+        assert ours == theirs, P
+        A = presentations.exponent_matrix(P)
+        full = normalforms.invariant_factors(sympy.Matrix(A.rows, A.cols, list(A.entries)), domain=sympy.ZZ)
+        full = [abs(int(d)) for d in full if d]
+        assert ab.torsion == tuple(d for d in full if d > 1), P
+        assert ab.free_rank == len(P.generators) - len(full), P
+    assert nontrivial >= 40
