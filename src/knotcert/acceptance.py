@@ -17,6 +17,7 @@ from typing import Callable
 from .constructions import (
     MismatchError,
     annihilator_poly,
+    checked_annihilator_poly,
     derive_gamma_consistency,
     distinctness_certificates,
     fold_report,
@@ -44,11 +45,12 @@ class CheckResult:
 
 def check_annihilator_forms() -> CheckResult:
     """Sum form and closed form of the annihilator polynomial agree."""
-    bad = [
-        p
-        for p in range(1, 13)
-        if annihilator_poly(p, "sum") != annihilator_poly(p, "closed")
-    ]
+    bad = []
+    for p in range(1, 13):
+        try:
+            checked_annihilator_poly(p)
+        except MismatchError:
+            bad.append(p)
     return CheckResult(
         "annihilator-poly-forms",
         not bad,

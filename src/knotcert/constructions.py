@@ -26,7 +26,6 @@ from .intlinalg import Matrix
 from .laurent import (
     LaurentPoly,
     cyclotomic_multiplicity,
-    divide_exact,
     laurent_gcd,
 )
 from .presentations import Presentation, abelianization, add_relator
@@ -56,9 +55,9 @@ class MismatchError(AssertionError):
     """The two independent routes to the same presentation disagree.
 
     Raised by gamma_tab_presentation when rewriting the four-generator
-    presentation does not reproduce the closed-form relators, and by the
-    certificate producer when an annihilator polynomial does not equal its
-    quotient of binomials; these are built-in fidelity checks, so a raise
+    presentation does not reproduce the closed-form relators, and by
+    checked_annihilator_poly when an annihilator polynomial does not equal
+    its quotient of binomials; these are built-in fidelity checks, so a raise
     means an implementation bug.
     """
 
@@ -370,34 +369,34 @@ def _times_binomials(f: LaurentPoly, exponents: Iterable[int]) -> LaurentPoly:
     return f
 
 
-def annihilator_poly(p: int, form: str = "sum") -> LaurentPoly:
+def annihilator_poly(p: int) -> LaurentPoly:
     """The polynomial annihilating each generator of the Alexander module
     of gamma_presentation(p); equals the Alexander polynomial of the
-    (p, p+1) torus knot.
+    (p, p+1) torus knot, canonical:
 
-    form="sum":    sum_{k=0..p} t^(p^2-kp) - sum_{k=0..p-1} t^(k(p+1)+1)
-    form="closed": (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1))
+    sum_{k=0..p} t^(p^2-kp) - sum_{k=0..p-1} t^(k(p+1)+1)
 
-    The closed form divides the numerator by one denominator binomial at
-    a time, each an exact division by t^a - 1.  Both are returned
-    canonical; their equality for p = 1..12 is part of the acceptance
-    suite.
+    checked_annihilator_poly checks it against its closed form.
     """
     if p < 1:
         raise InvalidP(f"need p >= 1, got {p}")
-    if form == "sum":
-        poly = LaurentPoly(
-            [(p * p - k * p, 1) for k in range(p + 1)]
-            + [(k * (p + 1) + 1, -1) for k in range(p)]
-        )
-        return poly.canonical()
-    if form == "closed":
-        binomials = _annihilator_binomials(p)
-        quot = _times_binomials(LaurentPoly.one(), (a for a, s in binomials.items() if s > 0))
-        for a in (a for a, s in binomials.items() if s < 0):
-            quot = divide_exact(quot, LaurentPoly({a: 1, 0: -1}))
-        return quot.canonical()
-    raise ValueError(f"unknown form {form!r}")
+    poly = LaurentPoly(
+        [(p * p - k * p, 1) for k in range(p + 1)]
+        + [(k * (p + 1) + 1, -1) for k in range(p)]
+    )
+    return poly.canonical()
+
+
+def checked_annihilator_poly(p: int) -> LaurentPoly:
+    """annihilator_poly(p), checked against its closed form
+    (t^(p(p+1)) - 1)(t - 1) / ((t^(p+1) - 1)(t^p - 1)) by one sparse
+    product: times both denominator binomials it must equal the
+    numerator.  MismatchError if it does not."""
+    poly, binomials = annihilator_poly(p), _annihilator_binomials(p)
+    num = _times_binomials(LaurentPoly.one(), [a for a, s in binomials.items() if s > 0])
+    if _times_binomials(poly, [a for a, s in binomials.items() if s < 0]) != num:
+        raise MismatchError(f"annihilator_poly({p}) = {poly} is not the quotient {binomials}")
+    return poly
 
 
 def order_ideal(p: int) -> tuple[Matrix, tuple[LaurentPoly, ...]]:
@@ -452,24 +451,18 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> Iterator[Distinctness
     """Yield the certificate for every pair p < k with p in ps and k in ks,
     both ascending, in (p, k) order.
 
-    Before the first is yielded, annihilator_poly(j) is computed for each j
-    in ps or ks, checked against its quotient of binomials
-    (_annihilator_binomials) by one sparse product, MismatchError if they
-    differ, and dropped; only the four exponents of each j are kept, so
-    the memory held is O(len(ps) + len(ks)) however many pairs follow.
-    Every divisibility fact is then cyclotomic_multiplicity >= 1 on those
-    exponents: divides_in_k once per k, the p = 1 unit-ideal fact once, and
-    for each pair one sum over at most four exponents, with no polynomial
-    division and no polynomial built.
+    Before the first is yielded, annihilator_poly(j) is built for each j
+    in ps or ks, checked (checked_annihilator_poly, so a MismatchError
+    comes before any output) and dropped; only the four exponents of each
+    j are kept, so the memory held is O(len(ps) + len(ks)) however many
+    pairs follow.  Every divisibility fact is then cyclotomic_multiplicity
+    >= 1 on those exponents: divides_in_k once per k, the p = 1 unit-ideal
+    fact once, and for each pair one sum over at most four exponents, with
+    no polynomial division and no polynomial built.
     """
     binomials, p1_ideal_is_unit = {}, False
     for j in sorted({*ps, *ks}):
-        poly, binomials[j] = annihilator_poly(j), _annihilator_binomials(j)
-        num = _times_binomials(LaurentPoly.one(), [a for a, s in binomials[j].items() if s > 0])
-        if _times_binomials(poly, [a for a, s in binomials[j].items() if s < 0]) != num:
-            raise MismatchError(
-                f"annihilator_poly({j}) = {poly} is not the quotient {binomials[j]}"
-            )
+        poly, binomials[j] = checked_annihilator_poly(j), _annihilator_binomials(j)
         if j == 1:
             # The order ideal of p contains pp_p^2 (see order_ideal), so a
             # unit pp_1 makes the p = 1 ideal the whole ring.
@@ -551,13 +544,10 @@ class GammaArtifacts:
 
 
 def gamma_artifacts(p: int) -> GammaArtifacts:
-    """Bundle the group, its rewriting, the annihilator polynomial (both
-    displayed forms are checked against each other), the order ideal and
-    the Fox-calculus cross-checks."""
-    poly = annihilator_poly(p, "sum")
-    closed = annihilator_poly(p, "closed")
-    if poly != closed:
-        raise MismatchError(f"annihilator forms disagree at p={p}: {poly} vs {closed}")
+    """Bundle the group, its rewriting, the annihilator polynomial
+    (checked against its closed form), the order ideal and the
+    Fox-calculus cross-checks."""
+    poly = checked_annihilator_poly(p)
     relations, ideal = order_ideal(p)
     presentation = gamma_presentation(p)
     tab_presentation = gamma_tab_presentation(p)

@@ -86,19 +86,8 @@ class GroupRingElement:
     def from_word(cls, w: Word, coeff: int = 1) -> "GroupRingElement":
         return cls({w: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self) -> tuple[tuple[Word, int], ...]:
-        return tuple(
-            sorted(self.terms.items(), key=lambda wc: (wc[0].length(), wc[0].syllables))
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.items())
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         acc = dict(self.terms)
@@ -127,15 +116,6 @@ class GroupRingElement:
         out = GroupRingElement.zero()
         out.terms = acc
         return out
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GroupRingElement(0)"
-        parts = []
-        for w, c in self.items():
-            name = str(w) if not w.is_identity() else "1"
-            parts.append(f"{c:+d}*({name})")
-        return f"GroupRingElement({' '.join(parts)})"
 
 
 def fox_derivative(w: Word, gen: str) -> GroupRingElement:

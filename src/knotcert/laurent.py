@@ -9,37 +9,30 @@ anywhere in this module.  The units of Z[t, t^-1] are +-t^k, so equality
 :meth:`LaurentPoly.canonical`).
 
 Two kernels here carry the heavy work: exact division and the
-determinant.  Kronecker substitution serves both: a polynomial is
-evaluated at t = 2^(8w) and packed into one integer (:func:`_pack`),
-and balanced digits read an integer back (:func:`_unpack`).
+determinant.
 
-Exact division has three routes, all behind :func:`_quotient`, so
-:func:`divide_exact` and :func:`divides` take the same one.
+Exact division has two routes, both behind :func:`_quotient`, so
+:func:`divide_exact` and :func:`divides` take the same one, picked by the
+divisor's shape alone.
 
-- A divisor +-t^a*(1 - t^d), a property of the divisor alone, takes
-  :func:`_binomial_quotient`: running sums over the residue classes mod
-  d of the dividend's exponents, in O(nnz*log nnz + nnz(quot)) for nnz
-  the dividend's nonzero terms.  The other two routes cost at least the
-  quotient's span, and the Alexander polynomial of T(e, e + 1) has about
-  2e terms over a span of about e^2.
-- Any other divisor takes one of two routes, which the cost rule of
-  :func:`_packed_pays` picks from the operands' shapes.
-  :func:`_divmod_dense` is the only polynomial long-division loop.  It
+- A divisor +-t^a*(1 - t^d) takes :func:`_binomial_quotient`: running
+  sums over the residue classes mod d of the dividend's exponents, in
+  O(nnz*log nnz + nnz(quot)) for nnz the dividend's nonzero terms.  Long
+  division costs at least the quotient's span, and the Alexander
+  polynomial of T(e, e + 1) has about 2e terms over a span of about e^2.
+- Any other divisor takes :func:`_long_quotient`, through
+  :func:`_divmod_dense`, the only polynomial long-division loop.  It
   costs len(quot)*nnz(den) coefficient operations in Python, where nnz
   counts the divisor's nonzero terms, so sparse torus-knot divisors are
-  cheap however wide their degree span.  When that cost exceeds the span
-  of the dividend, :func:`_exact_quotient` packs both operands and
-  decides with one divmod inside int.  A zero remainder is accepted only
-  after a bound check that makes the quotient exact term by term; a
-  nonzero one proves non-divisibility.  Past 8-byte digits it falls back
-  to long division, so nothing rests on a guess.
+  cheap however wide their degree span.
 
-The pseudo-remainders of :func:`laurent_gcd` are long divisions; before
-each one the rule admits, the packed route asks whether the divisor
-already divides, which ends the sequence.
-:func:`laurent_det` packs every entry at a width an a-priori norm bound
-makes exact, takes one determinant over Z, and reads the coefficients
-back: no Laurent product or division runs inside a determinant.
+The pseudo-remainders of :func:`laurent_gcd` are long divisions too; a
+divisor that divides leaves a zero remainder, which ends the sequence.
+:func:`laurent_det` evaluates every entry at t = 2^(8w) and packs it into
+one integer (Kronecker substitution, :func:`_pack`), at a width an
+a-priori norm bound makes exact, takes one determinant over Z, and reads
+the coefficients back as balanced digits (:func:`_unpack`): no Laurent
+product or division runs inside a determinant.
 :func:`cyclotomic` is a Moebius product of binomials 1 - t^d, run on a
 dense series truncated at degree phi(n); nothing in this module is cached.
 :func:`cyclotomic_multiplicity` reads how often cyclotomic(n) divides a
@@ -290,7 +283,7 @@ def _divmod_dense(num: list[int], den: list[int]) -> tuple[list[int], list[int]]
 
 
 # (w, fmt): a digit of w bytes, read and written natively as the signed
-# memoryview format fmt; the packed routes evaluate at xi = 2^(8w)
+# memoryview format fmt; laurent_det evaluates at xi = 2^(8w)
 _CELLS = tuple((struct.calcsize(fmt), fmt) for fmt in "bhiq")
 
 
@@ -366,74 +359,6 @@ def _unpack(x: int, m: int, w: int, fmt: str | None) -> list[int] | None:
     return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, m * w, w)]
 
 
-def _packed_pays(num: LaurentPoly, den: LaurentPoly) -> bool:
-    """The cost rule: take the packed route for num/den exactly when long
-    division would cost more than the span of num, len(quot)*nnz(den) > n
-    with n = max_exp - min_exp + 1 of num.
-
-    The packed route runs every pass over the span inside int, and its
-    divmod does machine-digit work proportional to len(quot)*len(den).
-    Measured crossover (CPython 3.11.7, 2-core Xeon; exact quotients and
-    monic non-divisors, against :func:`_long_quotient`): from 100
-    long-division steps up the packed route costs 0.02 to 0.65 times as
-    much, and less the larger the ratio len(quot)*nnz(den)/n.  It costs
-    more in two corners the rule admits.  Below about 50 steps its fixed
-    cost of some 15 microseconds makes it up to 2.1 times dearer.  For a
-    long quotient over a very sparse, wide divisor (nnz(den) = 20,
-    len(quot) = 1000, ratio 1.25) it is 1.7 to 2.4 times dearer.  On the
-    benchmark workloads, packed tries that find no quotient take about 2%
-    of an alexander-wide batch and 0.5% of a family-verbs batch.
-    """
-    n = num.max_exp() - num.min_exp() + 1
-    return (n - (den.max_exp() - den.min_exp())) * len(den._coeffs) > n
-
-
-def _exact_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """num/den when den divides num in Z[t, t^-1], else None; num and den
-    are nonzero.  This is the packed route (Kronecker substitution, as in
-    Harvey, "Faster polynomial multiplication via multipoint Kronecker
-    substitution", J. Symbolic Comput. 44, 2009): it decides with one C
-    divmod of packed integers what long division decides in
-    len(quot)*nnz(den) Python steps.
-
-    With n, d and m = n - d + 1 the coefficient counts of num, den and the
-    quotient from their lowest terms, and xi = 2^(8w) for w = 1, 2, 4, 8
-    bytes, taken in turn from the first with xi/2 > max(||num||_inf,
-    ||den||_1):
-
-    - divmod(num(xi), den(xi)).  den(xi) != 0 because xi > 2*||den||_inf,
-      so if den divides num, then num(xi) = quot(xi)*den(xi), and a nonzero
-      remainder proves that den does not divide num.
-    - On a zero remainder, q is read back as the m balanced digits of the
-      integer quotient, each in [-xi/2, xi/2).  It is accepted only when
-      ||q||_inf*||den||_1 < xi/2.  Then q*den and num both have
-      coefficients below xi/2 in absolute value and take the same value
-      at xi, and balanced digits are unique, so q*den = num term by term.
-    - Otherwise, or when the quotient does not fit m digits, w is widened;
-      past 8 bytes :func:`_long_quotient` decides.  Nothing is accepted on
-      a guess.
-    """
-    lo, den_lo = num.min_exp(), den.min_exp()
-    n = num.max_exp() - lo + 1
-    d = den.max_exp() - den_lo + 1
-    m = n - d + 1
-    if m < 1:
-        return None
-    num_max = max(map(abs, num._coeffs.values()))
-    den_l1 = sum(map(abs, den._coeffs.values()))
-    for w, fmt in _CELLS:
-        half = 1 << 8 * w - 1
-        if max(num_max, den_l1) >= half:
-            continue
-        q, r = divmod(_pack(num._coeffs, lo, n, w, fmt), _pack(den._coeffs, den_lo, d, w, fmt))
-        if r:
-            return None
-        quot = _unpack(q, m, w, fmt)
-        if quot is not None and max(map(abs, quot)) * den_l1 < half:
-            return LaurentPoly._from_dense(quot, lo - den_lo)
-    return _long_quotient(num, den)
-
-
 def _long_quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """num/den by :func:`_divmod_dense`, or None; num and den nonzero."""
     qr = _divmod_dense(num.dense_coeffs(), den.dense_coeffs())
@@ -479,13 +404,11 @@ def _binomial_quotient(num: LaurentPoly, a: int, d: int, sign: int) -> LaurentPo
 def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """num/den when den divides num, else None; num and den nonzero.  A
     divisor +-t^a*(1 - t^d) takes :func:`_binomial_quotient`, any other
-    the route :func:`_packed_pays` picks."""
+    :func:`_long_quotient`."""
     if len(den._coeffs) == 2:
         (a, low), (b, high) = sorted(den._coeffs.items())
         if low == -high and high in (1, -1):
             return _binomial_quotient(num, a, b - a, high)
-    if _packed_pays(num, den):
-        return _exact_quotient(num, den)
     return _long_quotient(num, den)
 
 
@@ -614,8 +537,6 @@ def _pp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if db == 0:
             # b is a unit times a constant; primitive, so gcd is 1
             return LaurentPoly.one()
-        if _packed_pays(a, b) and _exact_quotient(a, b) is not None:
-            return b  # primitive and canonical, so b | a makes b the gcd
         lead = b.coeff(b.max_exp())
         # scaling by lead^(da-db+1) makes every division step exact
         qr = _divmod_dense((a * lead ** (da - db + 1)).dense_coeffs(), b.dense_coeffs())

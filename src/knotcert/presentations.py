@@ -1,14 +1,11 @@
-"""Finitely presented groups: presentations, scripted Tietze moves, and
+"""Finitely presented groups: presentations, adding a relator, and
 abelianization.  The sparse exponent-sum rows lose their unit pivots
 first, each one solving a relator for a generator, and Smith normal form
 runs only on what is left (Dumas, Saunders and Villard, J. Symbolic
 Comput. 32, 2001); the degree map is back-substituted through the pivots.
 
-Relators are stored freely and cyclically reduced; two relators are "the
-same" up to cyclic permutation and inversion, and eliminate_generator
-checks its precondition at that level of equality.  No heuristic
-simplification is ever attempted: every transformation is a
-precondition-checked move that preserves the group.
+Relators are stored freely and cyclically reduced.  No heuristic
+simplification is ever attempted.
 """
 
 from __future__ import annotations
@@ -18,11 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .intlinalg import Matrix, eliminate_unit_pivots, smith_normal_form
-from .words import ForeignGenerator, Word, relator_equivalent
-
-
-class NoDefiningRelator(ValueError):
-    """eliminate_generator found no relator matching gen = defining word."""
+from .words import ForeignGenerator, Word
 
 
 # A generator name: ASCII letters, digits and underscores, so that every
@@ -115,34 +108,6 @@ def add_relator(P: Presentation, w: Word) -> Presentation:
             f"word {w} uses unknown generator(s) {sorted(foreign)}"
         )
     return Presentation(P.generators, P.relators + (w,))
-
-
-def eliminate_generator(P: Presentation, gen: str, defining: Word) -> Presentation:
-    """Tietze move: remove gen, using a relator equivalent to
-    gen * defining^-1; gen is replaced by defining in the other relators.
-    The group is unchanged up to isomorphism.
-    """
-    if gen not in P.generators:
-        raise NoDefiningRelator(f"{gen!r} is not a generator")
-    if gen in defining.generators():
-        raise NoDefiningRelator(f"defining word for {gen!r} must not mention it")
-    target = Word.gen(gen) * defining.inverse()
-    found = None
-    for i, r in enumerate(P.relators):
-        if relator_equivalent(r, target):
-            found = i
-            break
-    if found is None:
-        raise NoDefiningRelator(
-            f"no relator matches {gen} = {defining} up to cyclic moves"
-        )
-    new_gens = tuple(g for g in P.generators if g != gen)
-    new_rels = [
-        r.substitute(gen, defining)
-        for j, r in enumerate(P.relators)
-        if j != found
-    ]
-    return Presentation(new_gens, new_rels)
 
 
 def abelianization(P: Presentation) -> AbelianizationResult:

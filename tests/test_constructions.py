@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from knotcert import cli, constructions, laurent, presentations
+from knotcert import acceptance, cli, constructions, laurent, presentations
 from knotcert.constructions import (
     BadPair,
     InvalidP,
     annihilator_poly,
+    checked_annihilator_poly,
     derive_gamma_consistency,
     distinctness_certificate,
     distinctness_certificates,
@@ -220,8 +221,8 @@ class TestConsistency:
 
 class TestAnnihilatorPoly:
     def test_p1_is_one(self):
-        assert annihilator_poly(1, "sum") == ONE
-        assert annihilator_poly(1, "closed") == ONE
+        assert annihilator_poly(1) == ONE
+        assert checked_annihilator_poly(1) == ONE
 
     def test_p2(self):
         assert annihilator_poly(2) == LaurentPoly({0: 1, 1: -1, 2: 1})
@@ -231,21 +232,26 @@ class TestAnnihilatorPoly:
         expected = divide_exact(
             (tpow(12) - ONE) * (tpow(1) - ONE), (tpow(4) - ONE) * (tpow(3) - ONE)
         ).canonical()
-        assert annihilator_poly(3, "sum") == expected
+        assert annihilator_poly(3) == expected
         assert expected == LaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1})
 
     def test_p3_cyclotomic_factorization(self):
         assert annihilator_poly(3) == (cyclotomic(6) * cyclotomic(12)).canonical()
 
     def test_forms_agree(self):
+        # the sum form against the closed form, divided out in the test
+        tpow = LaurentPoly.t_power
         for p in range(1, 13):
-            assert annihilator_poly(p, "sum") == annihilator_poly(p, "closed")
+            closed = divide_exact(
+                (tpow(p * (p + 1)) - ONE) * (tpow(1) - ONE), (tpow(p + 1) - ONE) * (tpow(p) - ONE)
+            ).canonical()
+            assert annihilator_poly(p) == checked_annihilator_poly(p) == closed
 
     def test_bad_args(self):
         with pytest.raises(InvalidP):
             annihilator_poly(0)
-        with pytest.raises(ValueError):
-            annihilator_poly(2, "open")
+        with pytest.raises(TypeError):  # there is one form, so no form argument
+            annihilator_poly(2, "sum")
 
 
 @pytest.fixture(scope="module")
@@ -334,7 +340,7 @@ class TestDistinctness:
         # the identity check.
         real_binomials = constructions._annihilator_binomials
         non_unit_at_1 = {
-            "annihilator_poly": lambda p, form="sum": annihilator_poly(2 if p == 1 else p, form),
+            "annihilator_poly": lambda p: annihilator_poly(2 if p == 1 else p),
             "_annihilator_binomials": lambda p: real_binomials(2 if p == 1 else p),
         }
         for fakes, verdicts in (
@@ -407,12 +413,11 @@ class TestDistinctnessSweep:
         # cyclotomic multiplicity; one identity check per parameter j, that
         # is annihilator_poly(j) times (t^j - 1)(t^(j+1) - 1) against the
         # numerator (t^(j(j+1)) - 1)(t - 1), built from 1 (for j = 1 both
-        # products are empty); no division at all, neither long nor packed.
+        # products are empty); no division at all.
         decisions, products, divisions = [], [], []
         real_multiplicity = constructions.cyclotomic_multiplicity
         real_times = constructions._times_binomials
         monkeypatch.setattr(laurent, "_divmod_dense", lambda num, den: divisions.append(den))
-        monkeypatch.setattr(laurent, "_exact_quotient", lambda num, den: divisions.append(den))
 
         def counting_multiplicity(n, binomials):
             decisions.append(n)
@@ -458,18 +463,24 @@ class TestDistinctnessSweep:
 
     def test_annihilator_that_is_not_its_binomial_quotient_is_refused(self, monkeypatch, capsys):
         # A wrong annihilator_poly(2), (1 + t) times the right one, fails the
-        # identity check: the library raises and the CLI prints nothing.
-        def wrong_at_2(p, form="sum"):
-            poly = annihilator_poly(p, form)
+        # identity check: the library raises and the CLI prints nothing, for
+        # the certificates and for gamma, and selftest's check names p = 2.
+        def wrong_at_2(p):
+            poly = annihilator_poly(p)
             return poly * LaurentPoly({0: 1, 1: 1}) if p == 2 else poly
 
         monkeypatch.setattr(constructions, "annihilator_poly", wrong_at_2)
         with pytest.raises(constructions.MismatchError, match=r"annihilator_poly\(2\)"):
             distinctness_certificates(1, 5)
-        out = io.StringIO()
-        assert cli.run(["distinct-range", "--min", "1", "--max", "5"], out) == 3
-        assert out.getvalue() == ""
-        assert "internal invariant violated" in capsys.readouterr().err
+        with pytest.raises(constructions.MismatchError, match=r"annihilator_poly\(2\)"):
+            gamma_artifacts(2)
+        for argv in (["distinct-range", "--min", "1", "--max", "5"], ["gamma", "--p", "2"]):
+            out = io.StringIO()
+            assert cli.run(argv, out) == 3
+            assert out.getvalue() == ""
+            assert "internal invariant violated" in capsys.readouterr().err
+        check = acceptance.check_annihilator_forms()
+        assert (check.passed, check.detail) == (False, "mismatch at p in [2]")
 
     def test_shared_work_is_done_once(self, monkeypatch):
         # Calls of annihilator_poly, cyclotomic, cyclotomic_multiplicity and

@@ -7,14 +7,35 @@ from knotcert.constructions import tau_word, torus_wirtinger
 from knotcert.intlinalg import smith_normal_form
 from knotcert.presentations import (
     AbelianizationResult,
-    NoDefiningRelator,
     Presentation,
     abelianization,
     add_relator,
-    eliminate_generator,
     exponent_matrix,
 )
-from knotcert.words import ForeignGenerator, Word
+from knotcert.words import ForeignGenerator, Word, relator_equivalent
+
+
+class NoDefiningRelator(ValueError):
+    """eliminate_generator found no relator matching gen = defining word."""
+
+
+def eliminate_generator(P: Presentation, gen: str, defining: Word) -> Presentation:
+    """Tietze move: remove gen, using a relator equivalent to
+    gen * defining^-1 up to cyclic permutation and inversion; gen is
+    replaced by defining in the other relators.  The group is unchanged up
+    to isomorphism, so invariants computed from P and the result agree.
+    """
+    if gen not in P.generators:
+        raise NoDefiningRelator(f"{gen!r} is not a generator")
+    if gen in defining.generators():
+        raise NoDefiningRelator(f"defining word for {gen!r} must not mention it")
+    target = Word.gen(gen) * defining.inverse()
+    found = next((i for i, r in enumerate(P.relators) if relator_equivalent(r, target)), None)
+    if found is None:
+        raise NoDefiningRelator(f"no relator matches {gen} = {defining} up to cyclic moves")
+    new_gens = tuple(g for g in P.generators if g != gen)
+    new_rels = [r.substitute(gen, defining) for j, r in enumerate(P.relators) if j != found]
+    return Presentation(new_gens, new_rels)
 
 
 def W(*syllables):
