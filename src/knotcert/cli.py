@@ -101,9 +101,10 @@ class _Fragment(str):
 
 def _indented(obj, pad: str) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) for obj nested at
-    indentation pad, with a _Fragment written as it is.  Dicts are walked
-    here; a list, which is only ever of scalars, takes one compact C
-    json.dumps call, where indent=2 would take the pure-Python encoder."""
+    indentation pad, with a _Fragment written as it is.  Dicts, and lists
+    whose first item is a dict or a list (a CLI list holds only containers
+    or only scalars), are walked here; a list of scalars takes one compact
+    C json.dumps call, where indent=2 would take the pure-Python encoder."""
     inner = pad + "  "
     if isinstance(obj, _Fragment):
         return obj
@@ -112,6 +113,9 @@ def _indented(obj, pad: str) -> str:
             f"{inner}{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj)
         )
         return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, list) and obj and isinstance(obj[0], (dict, list)):
+        items = ",\n".join(inner + _indented(x, inner) for x in obj)
+        return f"[\n{items}\n{pad}]"
     if isinstance(obj, list) and obj:
         items = json.dumps(obj, separators=(",\n" + inner, ": "))[1:-1]
         return f"[\n{inner}{items}\n{pad}]"
@@ -137,10 +141,6 @@ def _certificate_writer(pad: str):
         fragment(annihilator_poly, cert.k),
         fragment(cyclotomic, cert.phi_index),
     ), pad)
-
-
-def emit_certificate_json(cert: DistinctnessCertificate) -> str:
-    return _certificate_writer("")(cert)
 
 
 def _yesno(flag: bool) -> str:
@@ -190,7 +190,7 @@ def _certificate_text(cert: DistinctnessCertificate) -> str:
 def _cmd_distinct(args, out) -> int:
     cert = distinctness_certificate(args.p, args.k)
     if args.json:
-        out.write(emit_certificate_json(cert) + "\n")
+        out.write(_certificate_writer("")(cert) + "\n")
     else:
         out.write(_certificate_text(cert))
     return 0 if cert.valid else 1
@@ -238,7 +238,7 @@ def _cmd_gamma(args, out) -> int:
             "fox_tab_matches_order_ideal": art.fox_tab_matches_order_ideal,
             "fox_gamma_gcd_equals_annihilator": art.fox_gamma_gcd_equals_annihilator,
         }
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(_indented(payload, "") + "\n")
         return 0 if art.ok else 1
     out.write(f"artifacts for p = {art.p}\n\n")
     out.write("four-generator presentation:\n")

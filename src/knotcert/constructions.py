@@ -23,11 +23,7 @@ from .fox import (
     elementary_ideal,
 )
 from .intlinalg import Matrix
-from .laurent import (
-    LaurentPoly,
-    cyclotomic_multiplicity,
-    laurent_gcd,
-)
+from .laurent import LaurentPoly, cyclotomic_multiplicity
 from .presentations import Presentation, abelianization, add_relator
 from .torus import (
     HomomorphismReport,
@@ -522,9 +518,10 @@ def distinctness_certificates(lo: int, hi: int) -> list[DistinctnessCertificate]
 @dataclass(frozen=True)
 class GammaArtifacts:
     """Everything the pipeline derives for one parameter p, with the two
-    Fox-calculus cross-checks on full minors: E1 of tab_presentation is
-    the order ideal generator for generator, and the gcd of E1 of
-    presentation is the annihilator polynomial."""
+    Fox-calculus cross-checks: E1 of tab_presentation is the order ideal
+    generator for generator, and the Alexander polynomial of presentation,
+    the gcd of its E1 (fox_ideal_gamma, whose sixteen 3x3 minors are taken
+    on each access), is the annihilator polynomial."""
 
     p: int
     presentation: Presentation
@@ -534,9 +531,12 @@ class GammaArtifacts:
     module_relations: Matrix
     order_ideal: tuple[LaurentPoly, ...]
     fox_ideal_tab: tuple[LaurentPoly, ...]
-    fox_ideal_gamma: tuple[LaurentPoly, ...]
     fox_tab_matches_order_ideal: bool
     fox_gamma_gcd_equals_annihilator: bool
+
+    @property
+    def fox_ideal_gamma(self) -> tuple[LaurentPoly, ...]:
+        return elementary_ideal(alexander_matrix(self.presentation, self.degree_map), 1)
 
     @property
     def ok(self) -> bool:
@@ -546,26 +546,24 @@ class GammaArtifacts:
 def gamma_artifacts(p: int) -> GammaArtifacts:
     """Bundle the group, its rewriting, the annihilator polynomial
     (checked against its closed form), the order ideal and the
-    Fox-calculus cross-checks."""
+    Fox-calculus cross-checks, the gcd one by alexander_polynomial, with
+    one determinant per row set and no 3x3 minor."""
     poly = checked_annihilator_poly(p)
     relations, ideal = order_ideal(p)
     presentation = gamma_presentation(p)
     tab_presentation = gamma_tab_presentation(p)
-    degree_map = abelianization(presentation).degree_map
     fox_tab = elementary_ideal(
         alexander_matrix(tab_presentation, abelianization(tab_presentation).degree_map), 1
     )
-    fox_gamma = elementary_ideal(alexander_matrix(presentation, degree_map), 1)
     return GammaArtifacts(
         p=p,
         presentation=presentation,
         tab_presentation=tab_presentation,
-        degree_map=degree_map,
+        degree_map=abelianization(presentation).degree_map,
         p_poly=poly,
         module_relations=relations,
         order_ideal=ideal,
         fox_ideal_tab=fox_tab,
-        fox_ideal_gamma=fox_gamma,
         fox_tab_matches_order_ideal=set(fox_tab) == set(ideal),
-        fox_gamma_gcd_equals_annihilator=laurent_gcd(fox_gamma) == poly,
+        fox_gamma_gcd_equals_annihilator=alexander_polynomial(presentation) == poly,
     )

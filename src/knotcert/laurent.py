@@ -621,9 +621,10 @@ def laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     The integer determinant is :func:`_subset_det` for n <= 6 and
     :func:`bareiss_det` beyond.  CPython 3.11's big-int division is
     quadratic, so on small matrices Bareiss's divisions of packed integers
-    cost more than the products they save.  ``gamma_artifacts(p)``, whose
-    minors are all 1 x 1 to 3 x 3, measured (CPython 3.11.7, 2-core Xeon,
-    best of 3, three rounds; seconds) with each determinant taken by:
+    cost more than the products they save.  ``gamma_artifacts(p)``, when
+    it took every 1 x 1 to 3 x 3 minor of both Fox matrices, measured
+    (CPython 3.11.7, 2-core Xeon, best of 3, three rounds; seconds) with
+    each determinant taken by:
 
     ===================================  ===========  ===========  =========
     determinant                          p = 20       p = 40       p = 80

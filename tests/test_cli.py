@@ -10,7 +10,7 @@ import sys
 import knotcert
 
 from knotcert import cli
-from knotcert.cli import emit_certificate_json, poly_to_json, run
+from knotcert.cli import _certificate_writer, poly_to_json, run
 from knotcert.constructions import annihilator_poly, distinctness_certificate, gamma_artifacts
 from knotcert.laurent import LaurentPoly, cyclotomic
 
@@ -42,7 +42,7 @@ class TestCertificateJson:
     def test_carries_every_field(self):
         for pair in ((1, 2), (2, 3), (3, 5)):
             cert = distinctness_certificate(*pair)
-            obj = json.loads(emit_certificate_json(cert))
+            obj = json.loads(_certificate_writer("")(cert))
             assert obj.pop("schema_version") == 1
             polys = obj.pop("polynomials")
             assert obj == {
@@ -67,10 +67,10 @@ class TestCertificateJson:
 
     def test_deterministic(self):
         cert = distinctness_certificate(2, 3)
-        assert emit_certificate_json(cert) == emit_certificate_json(cert)
+        assert _certificate_writer("")(cert) == _certificate_writer("")(cert)
 
     def test_fields(self):
-        obj = json.loads(emit_certificate_json(distinctness_certificate(2, 3)))
+        obj = json.loads(_certificate_writer("")(distinctness_certificate(2, 3)))
         assert obj["schema_version"] == 1
         assert obj["phi_index"] == 12
         assert obj["valid"] is True
@@ -78,9 +78,45 @@ class TestCertificateJson:
         assert obj["polynomials"]["annihilator_p"]["coeffs"] == ["1", "-1", "1"]
 
     def test_unit_mode_fields(self):
-        obj = json.loads(emit_certificate_json(distinctness_certificate(1, 2)))
+        obj = json.loads(_certificate_writer("")(distinctness_certificate(1, 2)))
         assert obj["mode"] == "unit_ideal"
         assert obj["valid"] is True
+
+
+def _random_payload(rng, depth):
+    """A JSON value shaped like gamma's payload: dicts, lists of scalars,
+    lists of containers (as the rows of dicts of module_relations), empty
+    containers, and scalars that json escapes.  Like every list the CLI
+    writes, a list holds only scalars or only containers."""
+    scalars = (
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice((True, False)),
+        lambda: rng.choice(("", "a\nb\n", 'say "hi"', "back\\slash", "\u00e9t\u00e9", "\u03a6_12", "tab\t")),
+        lambda: str(rng.randint(-9, 9)),
+    )
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return rng.choice(scalars)()
+    if kind == 1:
+        return [rng.choice(scalars)() for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        items = [_random_payload(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+        return [x if isinstance(x, (dict, list)) else [x] for x in items]
+    keys = ("p", "coeffs", "min_exp", "z\"q", "\u00fc", "a\nb", "fox_ideal_gamma", "")
+    return {k: _random_payload(rng, depth - 1) for k in rng.sample(keys, rng.randint(0, 4))}
+
+
+class TestIndented:
+    def test_matches_json_dumps_indent_2_on_random_payloads(self):
+        rng = random.Random(27)
+        walked_lists = 0
+        for _ in range(400):
+            obj = {"module_relations": [[{"min_exp": rng.randint(-3, 3), "coeffs": _random_payload(rng, 1)}
+                                         for _ in range(2)] for _ in range(3)],
+                   "rest": _random_payload(rng, 4), "empty": rng.choice(([], {}, [[]], [{}]))}
+            assert cli._indented(obj, "") == json.dumps(obj, sort_keys=True, indent=2), obj
+            walked_lists += isinstance(obj["rest"], list) and bool(obj["rest"]) and isinstance(obj["rest"][0], (dict, list))
+        assert walked_lists >= 50
 
 
 # Coefficient lines printed by `alexander --file` on each `present` form,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from knotcert import acceptance, cli, constructions, laurent, presentations
+from knotcert import acceptance, cli, constructions, fox, laurent, presentations
 from knotcert.constructions import (
     BadPair,
     InvalidP,
@@ -641,3 +641,39 @@ class TestArtifacts:
         art = gamma_artifacts(2)
         for flag in ("fox_tab_matches_order_ideal", "fox_gamma_gcd_equals_annihilator"):
             assert not dataclasses.replace(art, **{flag: False}).ok
+
+    def test_gcd_verdict_matches_the_full_minor_oracle(self):
+        # Oracle: the gcd of every 3x3 minor of the 4x4 Alexander matrix
+        for p in range(1, 41):
+            art = gamma_artifacts(p)
+            ideal = elementary_ideal(alexander_matrix(art.presentation, art.degree_map), 1)
+            assert art.fox_ideal_gamma == ideal, p
+            assert art.fox_gamma_gcd_equals_annihilator == (laurent_gcd(ideal) == annihilator_poly(p)), p
+            assert art.fox_gamma_gcd_equals_annihilator, p
+
+    def test_only_the_json_printer_takes_three_by_three_minors(self, monkeypatch):
+        # fox binds laurent_det and laurent_gcd itself, so both modules'
+        # names are patched; a gcd call records the function it came from
+        sizes, callers = [], []
+        real_det, real_gcd = laurent.laurent_det, laurent.laurent_gcd
+
+        def det(rows):
+            sizes.append(len(rows))
+            return real_det(rows)
+
+        def gcd(polys):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_gcd(polys)
+
+        for module in (laurent, fox):
+            monkeypatch.setattr(module, "laurent_det", det)
+            monkeypatch.setattr(module, "laurent_gcd", gcd)
+        counts = {}
+        for extra in ([], ["--json"]):
+            sizes.clear()
+            callers.clear()
+            assert cli.run(["gamma", "--p", "80"] + extra, io.StringIO()) == 0
+            counts[bool(extra)] = {n: sizes.count(n) for n in set(sizes)}
+            assert set(callers) == {"alexander_polynomial"}, extra
+        assert 3 not in counts[False] and counts[False][2] > 0
+        assert counts[True] == {**counts[False], 3: 16}

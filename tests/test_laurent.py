@@ -501,6 +501,24 @@ def multiplicity_by_division(n, f):
     return count
 
 
+def _root_of_unity_mod_prime(n):
+    """(ell, zeta): the least prime ell = 1 mod n and an element of
+    multiplicative order exactly n modulo ell, found by trial division and
+    by checking zeta^(n/q) != 1 for every prime q dividing n."""
+    def is_prime(m):
+        return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    ell = n + 1
+    while not is_prime(ell):
+        ell += n
+    primes = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+    for g in range(2, ell):
+        zeta = pow(g, (ell - 1) // n, ell)
+        if all(pow(zeta, n // q, ell) != 1 for q in primes):
+            return ell, zeta
+    raise AssertionError(f"no element of order {n} modulo {ell}")
+
+
 class TestCyclotomicMultiplicity:
     def test_invalid_index(self):
         for n in (0, -3):
@@ -541,12 +559,23 @@ class TestCyclotomicMultiplicity:
         for p in range(1, 81):
             quotients[p] = binomial_quotient([(p * (p + 1), 1), (1, 1), (p, -1), (p + 1, -1)])
             assert quotients[p][1].canonical() == annihilator_poly(p), p
+        divisions = 0
         for k in range(1, 81):
             n = k * (k + 1)
-            phi = cyclotomic(n)
+            ell, zeta = _root_of_unity_mod_prime(n)
             for p in range(1, k + 1):
                 binomials, f = quotients[p]
-                assert (cyclotomic_multiplicity(n, binomials) >= 1) == divides(phi, f), (p, k)
+                # Phi_n(zeta) = 0 mod ell, so Phi_n | f forces f(zeta) = 0 mod
+                # ell: a nonzero residue proves Phi_n does not divide f, and a
+                # zero one is confirmed by long division.
+                if sum(c * pow(zeta, e, ell) for e, c in f.items()) % ell:
+                    divides_f = False
+                else:
+                    divides_f, divisions = divides(cyclotomic(n), f), divisions + 1
+                assert (cyclotomic_multiplicity(n, binomials) >= 1) == divides_f, (p, k)
+        # Phi_(k(k+1)) divides annihilator_poly(k) for every k >= 2 and no
+        # other annihilator here, so 79 residues vanish
+        assert divisions == 79
 
 
 class TestGcd:
@@ -883,6 +912,6 @@ class TestPackedDet:
         monkeypatch.setattr(laurent, "bareiss_det", bareiss)
         monkeypatch.setattr(LaurentPoly, "__mul__", watch("LaurentPoly product", real_mul))
         monkeypatch.setattr(LaurentPoly, "__rmul__", watch("LaurentPoly product", real_mul))
-        assert run(["gamma", "--p", "10"], io.StringIO()) == 0
+        assert run(["gamma", "--p", "10", "--json"], io.StringIO()) == 0
         assert sizes.count(3) >= 10 and sizes.count(2) >= 10
         assert seen == []
