@@ -37,7 +37,7 @@ from .fileformat import (
     UnknownGenerator,
     ZeroExponent,
     parse_presentation,
-    parse_word,
+    parse_syllables,
     presentation_to_text,
 )
 from .fox import BrokenInvariant, NotInfiniteCyclicAbelianization, alexander_polynomial
@@ -305,8 +305,8 @@ def _cmd_fold(args, out) -> int:
 
 def _cmd_wp(args, out) -> int:
     tk = TorusKnotParams(args.p, args.q)
-    word = parse_word(args.word, {"x", "y"})
-    out.write(str(normal_form(tk, word)) + "\n")
+    syllables = parse_syllables(args.word, {"x", "y"})
+    out.write(str(normal_form(tk, syllables)) + "\n")
     return 0
 
 

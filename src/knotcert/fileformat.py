@@ -28,10 +28,10 @@ _NAME_RE = re.compile(NAME_PATTERN)
 _INT_RE = re.compile(r"^-?[0-9]+$")
 # Every whole whitespace-delimited token, as (name, digits of k or "", "")
 # when it is ``name`` or ``name^k`` with k nonzero, and as ("", "", token)
-# when it is malformed.  Matching token by token keeps no SRE state across
-# tokens, where a fullmatch of a repeated group over the whole word would
-# grow its backtracking stack with the word, and possessive repeats need
-# Python 3.11.
+# when it is malformed; parse_syllables runs it over the distinct tokens of
+# a word, joined by spaces.  Matching token by token keeps no SRE state
+# across tokens, where a fullmatch of a repeated group would grow its
+# backtracking stack with the word, and possessive repeats need Python 3.11.
 _TOKEN_RE = re.compile(
     rf"(?<!\S)(?:({NAME_PATTERN})(?:\^(-?0*[1-9][0-9]*))?(?!\S)|(\S+))"
 )
@@ -79,39 +79,46 @@ def _tokens_with_columns(text_line: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text_line)]
 
 
-def parse_word(text: str, generators: set[str] | None = None, line: int = 1) -> Word:
-    """Parse whitespace-separated word tokens; optionally restrict names.
+def parse_syllables(
+    text: str, generators: set[str] | None = None, line: int = 1, _seen=None
+) -> list[tuple[str, int]]:
+    """Parse whitespace-separated word tokens into unreduced syllables.
 
-    One regex findall splits the text into tokens and picks out the
-    malformed ones; the names and exponents are then checked in bulk.  If
-    they pass, the tokens are the word.  Otherwise the first offending
-    token, malformed, naming an unknown generator or with an exponent too
-    long for int(), is the only one handed to the per-token parser, and
-    its error is raised with its column.
+    One findall checks each distinct token of text.split() once, and each
+    exponent is converted once; the list is built only if all pass.
+    Otherwise the first offending token, malformed, naming an unknown
+    generator or with an exponent too long for int(), is the only one
+    handed to the per-token parser, and its error is raised with its
+    column.  _seen, shared by the relator lines of a file, maps the tokens
+    already accepted against the same generators to their syllables.
     """
-    tokens = _TOKEN_RE.findall(text)
-    names = [n for n, _, _ in tokens]
-    if "" not in names and (generators is None or generators.issuperset(names)):
+    tokens = text.split()
+    seen = {} if _seen is None else _seen
+    new = [t for t in dict.fromkeys(tokens) if t not in seen]
+    for token, (name, exp, malformed) in zip(new, _TOKEN_RE.findall(" ".join(new))):
+        if malformed or (generators is not None and name not in generators):
+            break
         try:
-            return Word([(n, int(e) if e else 1) for n, e, _ in tokens])
+            seen[token] = (name, int(exp) if exp else 1)
         except ValueError:  # an exponent too long for int()
-            pass
-    for i, (name, exp, bad) in enumerate(tokens):
-        if bad or (generators is not None and name not in generators):
             break
-        try:
-            int(exp or 1)
-        except ValueError:
-            break
-    m = next(islice(re.finditer(r"\S+", text), i, None))
+    else:
+        return list(map(seen.__getitem__, tokens))
+    m = next(islice(re.finditer(r"\S+", text), tokens.index(token), None))
     name, _ = _parse_token(m.group(), line, m.start() + 1)
     raise UnknownGenerator(f"line {line}: unknown generator {name!r}")
+
+
+def parse_word(text: str, generators: set[str] | None = None, line: int = 1, _seen=None) -> Word:
+    """The freely reduced Word of parse_syllables(text, generators, line)."""
+    return Word(parse_syllables(text, generators, line, _seen))
 
 
 def parse_presentation(text: str) -> Presentation:
     generators: list[str] | None = None
     known: set[str] = set()
     relators: list[Word] = []
+    seen: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -141,7 +148,7 @@ def parse_presentation(text: str) -> Presentation:
                     "rel: line before gens: line", lineno, start
                 )
             relators.append(
-                parse_word(raw.replace("rel:", "    ", 1), known, line=lineno)
+                parse_word(raw.replace("rel:", "    ", 1), known, lineno, seen)
             )
         else:
             raise PresentationSyntaxError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .presentations import Presentation
 from .words import ForeignGenerator, Word
@@ -66,25 +66,28 @@ class TorusNF:
         return " ".join(parts)
 
 
-def normal_form(tk: TorusKnotParams, w: Word) -> TorusNF:
+def normal_form(tk: TorusKnotParams, w: Word | Sequence[tuple[str, int]]) -> TorusNF:
     """Unique normal form of a word over {x, y} in <x, y | x^p = y^q>.
 
-    Rewrites x^(+-p) and y^(+-q) to central powers, folds exponents into
-    [1, p-1] / [1, q-1] with carries into the central exponent, and merges
-    adjacent syllables until the alternating form is reached.
+    w is a Word or any sequence of syllables, reduced or not.  Rewrites
+    x^(+-p) and y^(+-q) to central powers, folds exponents into [1, p-1] /
+    [1, q-1] with carries into the central exponent, and merges adjacent
+    syllables, which also reduces freely, until the form alternates.
     """
     if tk.p < 2 or tk.q < 2:
         raise BadParams(f"word problem needs p, q >= 2, got ({tk.p}, {tk.q})")
+    syllables = w.syllables if isinstance(w, Word) else w
     modulus = {"x": tk.p, "y": tk.q}
-    foreign = w.generators() - {"x", "y"}
-    if foreign:
-        raise ForeignGenerator(f"word uses generator(s) {sorted(foreign)}, not x, y")
     central = 0
     stack: list[tuple[str, int]] = []
-    for g, e in w.syllables:
+    for g, e in syllables:
         if stack and stack[-1][0] == g:
             e += stack.pop()[1]
-        m, r = divmod(e, modulus[g])
+        try:
+            m, r = divmod(e, modulus[g])
+        except KeyError:
+            foreign = sorted({h for h, _ in syllables} - modulus.keys())
+            raise ForeignGenerator(f"word uses generator(s) {foreign}, not x, y") from None
         central += m
         if r:
             stack.append((g, r))

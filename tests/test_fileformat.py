@@ -1,3 +1,4 @@
+import io
 import random
 import re
 import time
@@ -5,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from knotcert import fileformat
+from knotcert import cli, fileformat
 from knotcert.constructions import (
     double_presentation,
     gamma_presentation,
@@ -22,6 +23,7 @@ from knotcert.fileformat import (
     presentation_to_text,
 )
 from knotcert.presentations import Presentation
+from knotcert.torus import TorusKnotParams, normal_form
 from knotcert.words import Word
 
 
@@ -216,11 +218,13 @@ def _parse_cost(text, traced):
 
 
 def test_late_bad_token_costs_less_than_the_word(monkeypatch):
-    # The error path reuses the bulk findall and hands only the bad token
-    # to the per-token parser; it must not walk or list the tokens before
-    # it.  Time and tracemalloc peak are bounded relative to accepting the
-    # same word without the bad token (measured ratios about 0.8 and 0.55;
-    # listing every earlier token with its column gave 1.4-2.1 and 1.25).
+    # The error path reuses the split tokens and the one findall over the
+    # distinct tokens, and hands only the bad token to the per-token
+    # parser; it must not walk or list the syllables before it.  Time and
+    # tracemalloc peak are bounded relative to accepting the same word
+    # without the bad token (measured ratios about 0.9 and 0.5; listing
+    # every earlier token with its column gave 1.4-2.1 and 1.25, and
+    # building the syllable list before the check gave a peak of 1.0).
     parsed = []
     real_parse_token = fileformat._parse_token
 
@@ -252,9 +256,10 @@ def test_late_bad_token_costs_less_than_the_word(monkeypatch):
 )
 def test_late_unknown_name_or_long_exponent_costs_less_than_the_word(monkeypatch, last, message):
     # A well-formed token that names an unknown generator or has an
-    # exponent too long for int() is found from the bulk findall too: only
-    # it reaches the per-token parser, and rejecting the word costs less
-    # than twice accepting it without that token.
+    # exponent too long for int() is found from the findall over the
+    # distinct tokens too: only it reaches the per-token parser, and
+    # rejecting the word costs less than twice accepting it without that
+    # token.
     parsed = []
     real_parse_token = fileformat._parse_token
 
@@ -332,3 +337,88 @@ def test_bulk_parse_word_matches_the_per_token_parser():
             assert _outcome(parse_word, text, generators) == _outcome(
                 _per_token_parse_word, text, generators
             ), text
+
+
+def test_str_split_cuts_where_the_regex_does():
+    # parse_syllables splits with str.split(), and its error path locates
+    # a token with re.finditer(r"\S+"); they cut at the same characters
+    # because str.isspace() and the regex \s accept the same code points.
+    space = re.compile(r"\s").match
+    assert [c for c in range(0x110000) if chr(c).isspace() != bool(space(chr(c)))] == []
+
+
+def _file_outcome(parse, text):
+    try:
+        return ("ok", parse(text).relators)
+    except (PresentationSyntaxError, UnknownGenerator, ZeroExponent) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+def _per_line_parse_presentation(text):
+    # Each relator line parsed on its own, with no token map shared between
+    # lines.  The files below have gens: on line 1 and rel: on every other.
+    lines = text.splitlines()
+    generators = lines[0].split()[1:]
+    relators = [
+        parse_word(raw.replace("rel:", "    ", 1), set(generators), line=lineno)
+        for lineno, raw in enumerate(lines[1:], start=2)
+    ]
+    return Presentation(generators, relators)
+
+
+def test_shared_token_map_matches_parsing_each_line_alone():
+    rng = random.Random(12)
+    # Pieces that splitlines() cuts at stay out, so that each rel: line of
+    # a file is one line.
+    pieces = [p for p in FUZZ_PIECES if len(("a" + p + "a").splitlines()) == 1]
+    clean = ["x", "y", "a1", "x^-1", "y^3", "x^007", "a1^-2", "y^-1"]
+    files = [
+        "gens: x y a1\nrel: x y\nrel: y x!\nrel: x!\n",
+        "gens: x y a1\nrel: x y^3\nrel: x^2^3 y\nrel: y x^2^3\n",
+        "gens: x y a1\nrel: x z\nrel: z\nrel: x^0\n",
+        "gens: x y a1\nrel: x^-00 y\nrel: y^3 x^-00\n",
+    ]
+    for _ in range(1500):
+        lines = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.6:
+                lines.append(" ".join(rng.choice(clean) for _ in range(rng.randint(0, 8))))
+            else:
+                lines.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 12))))
+        gens = rng.choice(("x y a1", "x y z", "a1 y"))
+        files.append(f"gens: {gens}\n" + "".join(f"rel: {line}\n" for line in lines))
+    outcomes = set()
+    for text in files:
+        got = _file_outcome(parse_presentation, text)
+        assert got == _file_outcome(_per_line_parse_presentation, text), text
+        outcomes.add(got[0])
+    assert outcomes == {"ok", PresentationSyntaxError, UnknownGenerator, ZeroExponent}
+    # a bad token repeated on several lines is reported on the first
+    assert _file_outcome(parse_presentation, files[0])[2:] == (3, 8)
+    assert _file_outcome(parse_presentation, files[1])[2:] == (3, 6)
+    assert "line 2: unknown generator 'z'" in _file_outcome(parse_presentation, files[2])[1]
+    assert "line 2: token 'x^-00'" in _file_outcome(parse_presentation, files[3])[1]
+
+
+def test_wp_checks_each_distinct_token_once(monkeypatch):
+    rng = random.Random(3000)
+    text = " ".join(
+        g if e == 1 else f"{g}^{e}"
+        for g, e in (("xy"[i % 2], rng.choice((-1, 1)) * rng.randint(1, 7)) for i in range(3000))
+    )
+    checked = []
+    real = fileformat._TOKEN_RE
+
+    class Spy:
+        def findall(self, joined):
+            checked.extend(joined.split())
+            return real.findall(joined)
+
+    monkeypatch.setattr(fileformat, "_TOKEN_RE", Spy())
+    out = io.StringIO()
+    assert cli.run(["wp", "--p", "3", "--q", "5", "--word", text], out) == 0
+    distinct = list(dict.fromkeys(text.split()))
+    assert checked == distinct and len(distinct) == 28
+    monkeypatch.undo()
+    want = normal_form(TorusKnotParams(3, 5), _per_token_parse_word(text, {"x", "y"}))
+    assert out.getvalue() == f"{want}\n"

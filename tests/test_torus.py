@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -112,6 +113,43 @@ class TestNormalForm:
                 pos = rng.randint(0, w.length())
                 letters = w.letters()
                 assert normal_form(tk, Word(letters[:pos] + ins + letters[pos:])) == normal_form(tk, w)
+
+    def test_unreduced_syllables_have_the_normal_form_of_their_word(self):
+        # normal_form takes a plain syllable sequence without reducing it
+        # first; its merge loop must do the free reduction on the way.
+        rng = random.Random(45)
+        pairs = [(p, q) for p in range(2, 8) for q in range(2, 10) if math.gcd(p, q) == 1]
+        for p, q in pairs:
+            tk = TorusKnotParams(p, q)
+            modulus = {"x": p, "y": q}
+            cases = [[]]
+            for _ in range(60):
+                syllables = []
+                for _ in range(rng.randint(1, 12)):
+                    g = rng.choice("xy")
+                    kind = rng.randrange(4)
+                    if kind == 0:  # a run of one generator
+                        syllables += [(g, rng.choice((-1, 1)) * rng.randint(1, 3))] * rng.randint(2, 4)
+                    elif kind == 1:  # a cancelling pair
+                        e = rng.choice((-1, 1)) * rng.randint(1, 9)
+                        syllables += [(g, e), (g, -e)]
+                    elif kind == 2:  # a central power, +-p or +-q times k
+                        syllables.append((g, rng.choice((-1, 1)) * rng.randint(1, 3) * modulus[g]))
+                    else:
+                        syllables.append((g, rng.choice((-1, 1)) * rng.randint(1, 9)))
+                cases.append(syllables)
+            for syllables in cases:
+                assert normal_form(tk, syllables) == normal_form(tk, Word(syllables)), syllables
+                assert normal_form(tk, tuple(syllables)) == normal_form(tk, Word(syllables))
+
+    def test_foreign_generator_message_for_a_word_and_a_list(self):
+        tk = TorusKnotParams(2, 3)
+        message = "word uses generator(s) ['a', 'q'], not x, y"
+        syllables = [("x", 1), ("q", 2), ("y", 1), ("a", -1), ("q", -1)]
+        for w in (Word(syllables), syllables, [("q", 1), ("q", -1), ("a", 1)]):
+            with pytest.raises(ForeignGenerator) as info:
+                normal_form(tk, w)
+            assert str(info.value) == message
 
     def test_free_product_quotient_is_nonabelian(self):
         for p, q in ((2, 3), (3, 4), (4, 5), (2, 5)):
