@@ -147,8 +147,21 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _coeff_pieces(poly: LaurentPoly):
+    """The pieces of poly's coefficient line, from min_exp to max_exp,
+    whose concatenation is " ".join(map(str, poly.dense_coeffs())): the
+    lowest coefficient, then for each later term its gap of zeros and its
+    coefficient, so work and memory go with the nonzero terms, not the span
+    (nothing for the zero polynomial)."""
+    terms = poly.items()
+    if terms:
+        yield str(terms[0][1])
+    for (prev, _), (e, c) in zip(terms, terms[1:]):
+        yield f" {'0 ' * (e - prev - 1)}{c}"
+
+
 def _coeff_line(poly: LaurentPoly) -> str:
-    return " ".join(_coeff_strs(poly)) if poly else "0"
+    return "".join(_coeff_pieces(poly)) if poly else "0"
 
 
 def _cmd_present(args, out) -> int:
@@ -167,7 +180,9 @@ def _cmd_present(args, out) -> int:
 def _cmd_alexander(args, out) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         pres = parse_presentation(fh.read())
-    out.write(_coeff_line(alexander_polynomial(pres)) + "\n")
+    delta = alexander_polynomial(pres)
+    out.writelines(_coeff_pieces(delta))
+    out.write("\n")
     return 0
 
 

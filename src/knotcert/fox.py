@@ -292,7 +292,7 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
         [laurent_det([grid[i] for i in rows]) for rows in itertools.combinations(range(M.rows), M.cols - 1)]
     )
     if d0 > 1:
-        delta = divide_exact(delta.shifted(1) - delta, LaurentPoly({d0: 1, 0: -1})).canonical()
+        delta = divide_exact(delta.times_binomial(1), LaurentPoly({d0: 1, 0: -1})).canonical()
     if sum(c for _, c in delta.items()) not in (1, -1):
         raise BrokenInvariant(f"Delta = {delta} does not take the value +-1 at t = 1")
     return delta

@@ -377,7 +377,8 @@ def _binomial_quotient(num: LaurentPoly, a: int, d: int, sign: int) -> LaurentPo
     sums to 0.  The terms are sorted once and grouped by class.  Between
     two consecutive exponents x < y of a class, h takes one value at x,
     x + d, ..., below y, and a nonzero one is written there, times sign
-    and shifted by -a, with one dict.fromkeys.  The cost is
+    and shifted by -a: one assignment when y = x + d, the common case for
+    a sparse num, else one dict.fromkeys over the run.  The cost is
     O(nnz(num)*log nnz(num) + nnz(quot)), however wide the span of num.
 
     >>> str(_binomial_quotient(LaurentPoly({0: -1, 6: 1}), 0, 2, 1))
@@ -394,7 +395,9 @@ def _binomial_quotient(num: LaurentPoly, a: int, d: int, sign: int) -> LaurentPo
         run = 0
         for x, y in zip(exps, exps[1:]):
             run -= coeffs[x]
-            if run:
+            if run and y - x == d:
+                quot[x - a] = sign * run
+            elif run:
                 quot.update(dict.fromkeys(range(x - a, y - a, d), sign * run))
         if run != coeffs[exps[-1]]:  # the class does not sum to 0
             return None

@@ -7,10 +7,12 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import knotcert
 
 from knotcert import cli
-from knotcert.cli import _certificate_writer, poly_to_json, run
+from knotcert.cli import _certificate_writer, _coeff_line, _coeff_pieces, poly_to_json, run
 from knotcert.constructions import annihilator_poly, distinctness_certificate, gamma_artifacts
 from knotcert.laurent import LaurentPoly, cyclotomic
 
@@ -36,6 +38,50 @@ class TestPolyJson:
         big = 10 ** 40
         obj = poly_to_json(LaurentPoly({0: big}))
         assert obj["coeffs"] == [str(big)]
+
+
+def _random_wide_poly(rng):
+    """1-50 terms over a span of up to 10^4, coefficients of either sign and
+    some above 2^64."""
+    span = rng.randint(0, 10**4)
+    lo = rng.randint(-span, span)
+    exps = rng.sample(range(lo, lo + span + 1), min(rng.randint(1, 50), span + 1))
+    return LaurentPoly({
+        e: rng.choice((1, -1)) * (rng.randint(1, 9) if rng.random() < 0.7 else rng.randint(2**64, 2**80))
+        for e in exps
+    })
+
+
+class TestCoeffLine:
+    """_coeff_pieces renders the dense coefficient line from the nonzero
+    terms; " ".join(map(str, dense_coeffs())) is the oracle."""
+
+    def _cases(self):
+        rng = random.Random(29)
+        cases = [_random_wide_poly(rng) for _ in range(300)]
+        cases += [LaurentPoly({rng.randint(-50, 50): c}) for c in (1, -1, 7, -(2**70), 2**64 + 1)]
+        cases += [LaurentPoly({0: 1, 1: -1}), LaurentPoly({-3: 2**65, 9000: -5})]
+        return cases
+
+    def test_pieces_and_line_match_the_dense_join(self):
+        cases = self._cases()
+        for f in cases:
+            dense = " ".join(map(str, f.dense_coeffs()))
+            assert "".join(_coeff_pieces(f)) == dense, f
+            assert _coeff_line(f) == dense, f
+        assert any(len(f.items()) >= 45 and f.max_exp() - f.min_exp() > 9000 for f in cases)
+
+    def test_zero(self):
+        assert "".join(_coeff_pieces(LaurentPoly.zero())) == ""
+        assert _coeff_line(LaurentPoly.zero()) == "0"
+
+    def test_alexander_stdout_is_the_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "tall.txt"
+        path.write_text("gens: x y\nrel: x^5 y^-6\n", encoding="utf-8")
+        for f in self._cases():
+            monkeypatch.setattr(cli, "alexander_polynomial", lambda P, f=f: f)
+            line = " ".join(map(str, f.dense_coeffs()))
+            assert capture(["alexander", "--file", str(path)]) == (0, line + "\n")
 
 
 class TestCertificateJson:
@@ -478,13 +524,17 @@ _LAUNCH = (
 )
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this knotcert."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(knotcert.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _child(script: str) -> str:
     """Run script in a fresh interpreter that imports this knotcert; its stdout."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(knotcert.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _LAUNCH, script],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -515,3 +565,38 @@ print(code, grown * (1 if sys.platform == "darwin" else 1024))
         code, grown = map(int, _child(script).split())
         assert code == 0
         assert grown < 10 * 2**20
+
+
+# alexander at e = 10 000 under a 400 MB address-space cap: the dense line
+# of Delta(T(e, e + 1)) is about 2e^2 bytes, which the verb writes as runs of
+# zeros and never holds; building it as one string of about 200 MB from a
+# list of 10^8 strings exited 3 with MemoryError under this cap.
+_CAPPED_ALEXANDER = """
+import resource, sys
+cap = 400 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from knotcert.cli import run
+sys.exit(run(["alexander", "--file", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+class TestTallAlexanderOutput:
+    def _run(self, tmp_path, e, stdout):
+        path = tmp_path / f"tall{e}.txt"
+        path.write_text(f"gens: x y\nrel: x^{e} y^-{e + 1}\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_ALEXANDER, str(path)],
+            env=_child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_line_at_3000_is_the_annihilator(self, tmp_path):
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            self._run(tmp_path, 3000, fh)
+        line = " ".join(map(str, annihilator_poly(3000).dense_coeffs())) + "\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == hashlib.sha256(line.encode()).hexdigest()
+
+    def test_line_at_10000_fits_under_the_cap(self, tmp_path):
+        self._run(tmp_path, 10_000, subprocess.DEVNULL)

@@ -330,6 +330,38 @@ class TestBinomialQuotient:
             assert divide_exact(num, poly({e: 1, 0: -1})).canonical() == _torus_delta(e)
             assert not divides(poly({e + 2: 1, 0: -1}), num)
 
+    def test_wide_sparse_classes_mixing_one_step_and_long_runs(self):
+        # Each residue class of num steps by exactly d between some of its
+        # exponents (a one-step run of the quotient, one assignment) and by
+        # several d between others (a longer run, one dict.fromkeys).
+        rng = random.Random(63)
+        outcomes = {"exact": 0, "not": 0}
+        gaps = {"one": 0, "several": 0}
+        for _ in range(300):
+            a, d, sign = rng.randint(-30, 30), rng.randint(1, 40), rng.choice((1, -1))
+            den = poly({a: -sign, a + d: sign})
+            terms = {}
+            for r in rng.sample(range(d), rng.randint(1, min(d, 4))):
+                x = r + d * rng.randint(-50, 50)
+                exps = []
+                for _ in range(rng.randint(1, 12)):
+                    exps.append(x)
+                    step = 1 if rng.random() < 0.5 else rng.randint(2, 60)
+                    gaps["one" if step == 1 else "several"] += 1
+                    x += step * d
+                exps.append(x)
+                cs = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in exps[:-1]]
+                cs.append(-sum(cs) + (rng.randint(-1, 1) if rng.random() < 0.3 else 0))
+                terms.update((e, c) for e, c in zip(exps, cs) if c)
+            num = poly(terms)
+            if num.is_zero():
+                continue
+            expected = _long_quotient(num, den)
+            assert laurent._quotient(num, den) == expected, (num, den)
+            outcomes["not" if expected is None else "exact"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+        assert min(gaps.values()) >= 1000, gaps
+
     def test_other_two_term_divisors_fall_through(self, monkeypatch):
         calls = self._spy(monkeypatch)
         rng = random.Random(62)
