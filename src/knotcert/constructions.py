@@ -18,9 +18,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fox import (
     NotInfiniteCyclicAbelianization,
-    alexander_matrix,
+    _alexander_polynomial,
     alexander_polynomial,
     elementary_ideal,
+    first_elementary_ideal,
 )
 from .intlinalg import Matrix
 from .laurent import LaurentPoly, cyclotomic_multiplicity
@@ -259,18 +260,18 @@ def _tab_by_substitution(p: int) -> list[Word]:
             words[3].cyclically_reduced()]
 
 
-def _conj_power(exp: int, core: Word) -> Word:
-    return _gen("t", exp) * core * _gen("t", -exp)
-
-
 def _tab_by_formula(p: int) -> list[Word]:
     def product_relator(letter: str) -> Word:
-        out = Word.identity()
+        # each factor t^e g^+-1 t^-e as three syllables, the whole product
+        # reduced once
+        syllables = []
         for k in range(p):
-            out = out * _conj_power(k * (p + 1) + 1, _gen(letter, -1))
+            e = k * (p + 1) + 1
+            syllables += (("t", e), (letter, -1), ("t", -e))
         for k in range(p + 1):
-            out = out * _conj_power(p * p - k * p, _gen(letter))
-        return out.cyclically_reduced()
+            e = p * p - k * p
+            syllables += (("t", e), (letter, 1), ("t", -e))
+        return Word(syllables).cyclically_reduced()
 
     exchange = (
         _gen("a") * _gen("t") * _gen("a", -1) * _gen("t", -1)
@@ -520,8 +521,9 @@ class GammaArtifacts:
     """Everything the pipeline derives for one parameter p, with the two
     Fox-calculus cross-checks: E1 of tab_presentation is the order ideal
     generator for generator, and the Alexander polynomial of presentation,
-    the gcd of its E1 (fox_ideal_gamma, whose sixteen 3x3 minors are taken
-    on each access), is the annihilator polynomial."""
+    the gcd of its E1 (fox_ideal_gamma, taken on each access as four 3x3
+    determinants, one per row set, by first_elementary_ideal), is the
+    annihilator polynomial."""
 
     p: int
     presentation: Presentation
@@ -536,7 +538,7 @@ class GammaArtifacts:
 
     @property
     def fox_ideal_gamma(self) -> tuple[LaurentPoly, ...]:
-        return elementary_ideal(alexander_matrix(self.presentation, self.degree_map), 1)
+        return first_elementary_ideal(self.presentation, self.degree_map)
 
     @property
     def ok(self) -> bool:
@@ -546,24 +548,26 @@ class GammaArtifacts:
 def gamma_artifacts(p: int) -> GammaArtifacts:
     """Bundle the group, its rewriting, the annihilator polynomial
     (checked against its closed form), the order ideal and the
-    Fox-calculus cross-checks, the gcd one by alexander_polynomial, with
-    one determinant per row set and no 3x3 minor."""
+    Fox-calculus cross-checks.  The tab E1 takes three 2x2 determinants,
+    one per row set, by first_elementary_ideal (its columns a and b have
+    degree 0); the gcd verdict reads the Alexander polynomial, with no 3x3
+    determinant.  The four-generator presentation is abelianized once, for
+    degree_map and the gcd."""
     poly = checked_annihilator_poly(p)
     relations, ideal = order_ideal(p)
     presentation = gamma_presentation(p)
     tab_presentation = gamma_tab_presentation(p)
-    fox_tab = elementary_ideal(
-        alexander_matrix(tab_presentation, abelianization(tab_presentation).degree_map), 1
-    )
+    fox_tab = first_elementary_ideal(tab_presentation, abelianization(tab_presentation).degree_map)
+    ab = abelianization(presentation)
     return GammaArtifacts(
         p=p,
         presentation=presentation,
         tab_presentation=tab_presentation,
-        degree_map=abelianization(presentation).degree_map,
+        degree_map=ab.degree_map,
         p_poly=poly,
         module_relations=relations,
         order_ideal=ideal,
         fox_ideal_tab=fox_tab,
         fox_tab_matches_order_ideal=set(fox_tab) == set(ideal),
-        fox_gamma_gcd_equals_annihilator=alexander_polynomial(presentation) == poly,
+        fox_gamma_gcd_equals_annihilator=_alexander_polynomial(presentation, ab) == poly,
     )

@@ -34,6 +34,14 @@ Delta = gcd_R(u_R) * (t - 1)/(t^|d_j0| - 1) for j0 a kept column of least
 nonzero degree.  The kept generators generate H1 = Z, so their degrees
 have gcd 1 and Delta(1) = +-1; both are checked, and a failure raises
 :class:`BrokenInvariant`, with no second route through full minors.
+
+:func:`first_elementary_ideal` lists E1 itself, generator for generator
+as :func:`elementary_ideal` lists the minors of the Alexander matrix,
+from the same formula and the same row-set helper: one determinant u_R
+per row set, with no unit-pivot elimination, and every other minor of R
+an exact binomial multiple of u_R, one per distinct |d_j|.  A column of
+degree 0 has only zero minors, so the three-generator rewriting of
+gamma takes three 2x2 determinants where the full minors took nine.
 :func:`elementary_ideal` still takes every minor, for the E_k of any k
 and as the test oracle.
 """
@@ -46,7 +54,7 @@ from typing import Iterable, Mapping
 
 from .intlinalg import Matrix, eliminate_unit_pivots
 from .laurent import LaurentPoly, divide_exact, laurent_det, laurent_gcd, minors
-from .presentations import Presentation, abelianization
+from .presentations import AbelianizationResult, Presentation, abelianization
 from .words import Word
 
 
@@ -209,10 +217,14 @@ def alexander_matrix(P: Presentation, degree_map: Mapping[str, int]) -> Matrix:
     """Abelianized Fox Jacobian: entry (i, j) is the image of
     d(relator_i)/d(generator_j) under the degree map.
     """
+    _check_kills_relators(P, degree_map)
+    return fox_matrix(P.generators, P.relators, degree_map)
+
+
+def _check_kills_relators(P: Presentation, degree_map: Mapping[str, int]) -> None:
     for r in P.relators:
         if r.degree(degree_map) != 0:
             raise ValueError(f"degree map does not kill relator {r}")
-    return fox_matrix(P.generators, P.relators, degree_map)
 
 
 def elementary_ideal(M: Matrix, k: int) -> tuple[LaurentPoly, ...]:
@@ -235,6 +247,52 @@ def elementary_ideal(M: Matrix, k: int) -> tuple[LaurentPoly, ...]:
     if LaurentPoly.one() in gens:
         return (LaurentPoly.one(),)
     return gens
+
+
+def _row_set_dets(grid: list[list[LaurentPoly]], size: int) -> list[LaurentPoly]:
+    """The determinant of every set R of `size` rows of grid, in
+    lexicographic order of R: u_R, for grid the matrix with column j0
+    deleted and size its width."""
+    return [laurent_det([grid[i] for i in rows]) for rows in itertools.combinations(range(len(grid)), size)]
+
+
+def first_elementary_ideal(P: Presentation, degree_map: Mapping[str, int]) -> tuple[LaurentPoly, ...]:
+    """elementary_ideal(alexander_matrix(P, degree_map), 1), generator for
+    generator and in the same order, from one determinant per row set.
+
+    Fox's fundamental formula abelianizes to M v = 0 with
+    v_j = t^(d_j) - 1 (see alexander_polynomial; a generator no relator
+    mentions has a zero column, and d_j = 0 serves).  So for a set R of
+    c - 1 rows, the minor A_j that deletes column j is
+    +-u_R (t^|d_j| - 1)/(t^|d_j0| - 1), with j0 the first column of least
+    nonzero |d| and u_R = A_j0: 0 when d_j = 0, and one exact binomial
+    division per distinct |d_j| otherwise.  Column j0 itself enters no
+    u_R, so it is never built.  The generators are made canonical,
+    deduplicated and collapsed to (1,) as elementary_ideal does; a degree
+    map that is zero on every generator relates no minors, and takes
+    elementary_ideal's full minors.
+    """
+    degrees = [abs(degree_map.get(g, 0)) for g in P.generators]
+    c = len(degrees)
+    if c <= 1 or c - 1 > len(P.relators) or not any(degrees):
+        return elementary_ideal(alexander_matrix(P, degree_map), 1)
+    _check_kills_relators(P, degree_map)
+    d0 = min(d for d in degrees if d)
+    j0 = degrees.index(d0)
+    grid = fox_matrix(P.generators[:j0] + P.generators[j0 + 1 :], P.relators, degree_map).row_lists()
+    binomial = LaurentPoly({d0: 1, 0: -1})
+    gens: dict[LaurentPoly, None] = {}
+    for u in _row_set_dets(grid, c - 1):
+        if not u:
+            continue
+        by_degree = {d0: u.canonical()}
+        for d in filter(None, reversed(degrees)):
+            if d not in by_degree:
+                by_degree[d] = divide_exact(u.times_binomial(d), binomial).canonical()
+            gens[by_degree[d]] = None
+    if LaurentPoly.one() in gens:
+        return (LaurentPoly.one(),)
+    return tuple(gens)
 
 
 def alexander_polynomial(P: Presentation) -> LaurentPoly:
@@ -274,7 +332,11 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
     +-1 can only be a bug, and raises BrokenInvariant.  Returns 1 for the
     one-generator free presentation.
     """
-    ab = abelianization(P)
+    return _alexander_polynomial(P, abelianization(P))
+
+
+def _alexander_polynomial(P: Presentation, ab: AbelianizationResult) -> LaurentPoly:
+    """alexander_polynomial(P), given ab = abelianization(P)."""
     if not ab.is_infinite_cyclic():
         raise NotInfiniteCyclicAbelianization(
             f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
@@ -287,12 +349,9 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
         raise BrokenInvariant(f"the kept generators have degrees {degrees}, gcd not 1")
     d0 = min(d for d in degrees if d)
     j0 = degrees.index(d0)
-    grid = [row[:j0] + row[j0 + 1 :] for row in M.row_lists()]
-    delta = laurent_gcd(
-        [laurent_det([grid[i] for i in rows]) for rows in itertools.combinations(range(M.rows), M.cols - 1)]
-    )
+    delta = laurent_gcd(_row_set_dets([row[:j0] + row[j0 + 1 :] for row in M.row_lists()], M.cols - 1))
     if d0 > 1:
         delta = divide_exact(delta.times_binomial(1), LaurentPoly({d0: 1, 0: -1})).canonical()
-    if sum(c for _, c in delta.items()) not in (1, -1):
+    if delta.value_at_one() not in (1, -1):
         raise BrokenInvariant(f"Delta = {delta} does not take the value +-1 at t = 1")
     return delta

@@ -217,6 +217,14 @@ class LaurentPoly:
         """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
         return math.gcd(*self._coeffs.values()) if self._coeffs else 0
 
+    def value_at_one(self) -> int:
+        """The value at t = 1: the sum of the coefficients, taken unsorted.
+
+        >>> LaurentPoly({-2: 1, 0: -1, 3: 1}).value_at_one()
+        1
+        """
+        return sum(self._coeffs.values())
+
     def dense_coeffs(self) -> list[int]:
         """Coefficients from min_exp to max_exp inclusive ([] for zero)."""
         if not self._coeffs:

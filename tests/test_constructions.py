@@ -31,6 +31,7 @@ from knotcert.fox import (
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
+    first_elementary_ideal,
 )
 from knotcert.laurent import LaurentPoly, cyclotomic, divide_exact, divides, laurent_gcd
 from knotcert.presentations import abelianization, add_relator
@@ -674,6 +675,12 @@ class TestArtifacts:
             callers.clear()
             assert cli.run(["gamma", "--p", "80"] + extra, io.StringIO()) == 0
             counts[bool(extra)] = {n: sizes.count(n) for n in set(sizes)}
-            assert set(callers) == {"alexander_polynomial"}, extra
-        assert 3 not in counts[False] and counts[False][2] > 0
-        assert counts[True] == {**counts[False], 3: 16}
+            assert set(callers) == {"_alexander_polynomial"}, extra
+        # one determinant per row set: the tab E1 takes three 2x2 (its a
+        # and b columns have degree 0), the Alexander polynomial six 2x2
+        # after unit-pivot elimination, and fox_ideal_gamma four 3x3
+        assert counts == {False: {2: 9}, True: {2: 9, 3: 4}}
+        sizes.clear()
+        tab = gamma_tab_presentation(80)
+        first_elementary_ideal(tab, abelianization(tab).degree_map)
+        assert sizes == [2, 2, 2]

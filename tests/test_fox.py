@@ -26,6 +26,7 @@ from knotcert.fox import (
     alexander_matrix,
     alexander_polynomial,
     elementary_ideal,
+    first_elementary_ideal,
     fox_derivative,
     fox_matrix,
 )
@@ -660,3 +661,99 @@ class TestOneDeterminantPerRowSet:
         path.write_text("gens: x y\nrel: x^5 y^-6\n", encoding="utf-8")
         assert run(["alexander", "--file", str(path)], io.StringIO()) == 3
         assert "internal invariant violated" in capsys.readouterr().err
+
+    def test_value_at_one_of_three_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a gcd times 1 + 2t gives Delta(1) = +-3, which the Fitting-ideal
+        # argument rules out
+        real_gcd = fox.laurent_gcd
+        monkeypatch.setattr(fox, "laurent_gcd", lambda polys: real_gcd(polys) * LaurentPoly({0: 1, 1: 2}))
+        with pytest.raises(BrokenInvariant, match="value"):
+            alexander_polynomial(torus_wirtinger(3))
+        path = tmp_path / "tall.txt"
+        path.write_text("gens: x y\nrel: x^5 y^-6\n", encoding="utf-8")
+        assert run(["alexander", "--file", str(path)], io.StringIO()) == 3
+        assert "does not take the value +-1 at t = 1" in capsys.readouterr().err
+
+
+def _random_first_ideal_case(rng):
+    # A presentation with abelianization Z, 2-5 generators and n - 1 to
+    # n + 1 relators, redrawn until it is Z; then, as drawn, a duplicate
+    # or a conjugate of one relator (its Fox row is a unit multiple, so
+    # every row set holding both has rank below c - 1) and an unused
+    # generator, given a degree or left out of the degree map.  The
+    # deficiency runs from -2 to 2.
+    P = _random_z_presentation(rng)
+    degree_map = dict(abelianization(P).degree_map)
+    gens, relators = list(P.generators), list(P.relators)
+    if rng.random() < 0.4:
+        r = rng.choice(relators)
+        w = Word([(rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(0, 3))])
+        relators.append(w * r * w.inverse())
+    if rng.random() < 0.4:
+        gens.append("s")
+        if rng.random() < 0.5:
+            degree_map["s"] = rng.randint(0, 2)
+    return Presentation(gens, relators), degree_map
+
+
+def _first_ideal_oracle(P, degree_map):
+    return elementary_ideal(alexander_matrix(P, degree_map), 1)
+
+
+class TestFirstElementaryIdeal:
+    def test_matches_full_minors_on_random_presentations(self):
+        rng = random.Random(43)
+        seen = {"zero degree": 0, "division": 0, "zero row set": 0, "unit": 0}
+        deficiencies = set()
+        for _ in range(300):
+            P, degree_map = _random_first_ideal_case(rng)
+            degrees = [abs(degree_map.get(g, 0)) for g in P.generators]
+            M = alexander_matrix(P, degree_map)
+            deficiencies.add(M.cols - M.rows)
+            seen["zero degree"] += 0 in degrees
+            seen["division"] += min(d for d in degrees if d) > 1
+            if 1 < M.cols <= M.rows + 1:
+                j0 = degrees.index(min(d for d in degrees if d))
+                grid = [row[:j0] + row[j0 + 1 :] for row in M.row_lists()]
+                seen["zero row set"] += not all(fox._row_set_dets(grid, M.cols - 1))
+            ideal = first_elementary_ideal(P, degree_map)
+            seen["unit"] += ideal == (ONE,)
+            assert ideal == _first_ideal_oracle(P, degree_map), P
+        assert min(seen.values()) >= 10, seen
+        assert deficiencies >= {0, 1, 2}, deficiencies
+
+    def test_matches_full_minors_on_every_present_form(self):
+        # the double presentation has 2p + 3 relators on 2p + 2 generators,
+        # so the oracle takes (2p + 2) * C(2p + 3, 2) minors of size 2p + 1,
+        # about 1.6 s at p = 6: it runs to p = 5
+        for build in PRESENT_FORMS:
+            for p in range(2, 6 if build is PRESENT_FORMS[-1] else 13):
+                P = build(p)
+                degree_map = abelianization(P).degree_map
+                assert first_elementary_ideal(P, degree_map) == _first_ideal_oracle(P, degree_map), p
+
+    def test_matches_full_minors_on_gamma_and_its_rewriting(self):
+        for build in (gamma_presentation, gamma_tab_presentation):
+            for p in range(1, 41):
+                P = build(p)
+                degree_map = abelianization(P).degree_map
+                assert first_elementary_ideal(P, degree_map) == _first_ideal_oracle(P, degree_map), p
+
+    def test_edge_cases(self):
+        x, y = W(("x", 1)), W(("y", 1))
+        commuting = Presentation(("x", "y"), [x * y * x.inverse() * y.inverse()])
+        cases = [
+            (Presentation(("x",), []), {"x": 1}, (ONE,)),  # one column
+            (Presentation(("x", "y"), []), {"x": 1, "y": 0}, ()),  # c - 1 > rows
+            (commuting, {"x": 0, "y": 0}, ()),  # a zero degree map: full minors
+            (commuting, {"x": 1, "y": 0}, (LaurentPoly({0: 1, 1: -1}),)),  # row (0, t - 1)
+            # row (1 + t, -1): the minors 1 + t and 1 collapse to (1,)
+            (Presentation(("x", "y"), [W(("x", 2), ("y", -1))]), {"x": 1, "y": 2}, (ONE,)),
+        ]
+        for P, degree_map, expected in cases:
+            assert first_elementary_ideal(P, degree_map) == _first_ideal_oracle(P, degree_map) == expected, P
+
+    def test_rejects_a_degree_map_that_keeps_a_relator(self):
+        P = Presentation(("x", "y"), [W(("x", 1), ("y", 1))])
+        with pytest.raises(ValueError):
+            first_elementary_ideal(P, {"x": 1, "y": 1})
