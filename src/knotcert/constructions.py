@@ -18,9 +18,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fox import (
     NotInfiniteCyclicAbelianization,
-    _alexander_polynomial,
     alexander_polynomial,
-    elementary_ideal,
+    alexander_polynomial_is,
     first_elementary_ideal,
 )
 from .intlinalg import Matrix
@@ -373,15 +372,17 @@ def annihilator_poly(p: int) -> LaurentPoly:
 
     sum_{k=0..p} t^(p^2-kp) - sum_{k=0..p-1} t^(k(p+1)+1)
 
+    The two progressions meet only at t^(p^2), since k(p+1) + 1 = k + 1
+    mod p is a multiple of p only for k = p - 1, and the terms cancel
+    there; so the map is built in one pass over each, with p^2 in neither,
+    and is canonical as built.
     checked_annihilator_poly checks it against its closed form.
     """
     if p < 1:
         raise InvalidP(f"need p >= 1, got {p}")
-    poly = LaurentPoly(
-        [(p * p - k * p, 1) for k in range(p + 1)]
-        + [(k * (p + 1) + 1, -1) for k in range(p)]
-    )
-    return poly.canonical()
+    coeffs = dict.fromkeys(range(0, p * p, p), 1)
+    coeffs.update(dict.fromkeys(range(1, p * p, p + 1), -1))
+    return LaurentPoly._trusted(coeffs)
 
 
 def checked_annihilator_poly(p: int) -> LaurentPoly:
@@ -405,6 +406,12 @@ def order_ideal(p: int) -> tuple[Matrix, tuple[LaurentPoly, ...]]:
     3x2, one row per relation and the columns a, b.  The order ideal is the
     ideal of 2x2 minors of the relation matrix, generated by pp^2 and
     (t-1) pp; it is the unit ideal when p = 1, where pp is the constant 1.
+
+    The generators are listed as elementary_ideal(relations, 0) lists them,
+    taken from that closed form with no determinant: the minors of the row
+    sets {0, 1}, {0, 2} and {1, 2} are pp^2, (t-1) pp and (t-1) pp, and
+    since pp is canonical with constant term 1, pp^2 and (1-t) pp are
+    canonical as built.
     """
     if p < 1:
         raise InvalidP(f"need p >= 1, got {p}")
@@ -412,7 +419,9 @@ def order_ideal(p: int) -> tuple[Matrix, tuple[LaurentPoly, ...]]:
     zero = LaurentPoly.zero()
     one_minus_t = LaurentPoly.one() - LaurentPoly.t_power(1)
     relations = Matrix(3, 2, [pp, zero, zero, pp, one_minus_t, -one_minus_t])
-    return relations, elementary_ideal(relations, 0)
+    if p == 1:
+        return relations, (LaurentPoly.one(),)
+    return relations, (pp * pp, -pp.times_binomial(1))
 
 
 class DistinctnessCertificate(NamedTuple):
@@ -429,10 +438,11 @@ class DistinctnessCertificate(NamedTuple):
 
     divides_in_k and divides_in_p are read off the multiplicity of Phi in
     the annihilator polynomials as quotients of binomials
-    (cyclotomic_multiplicity).  The record holds scalars only: Phi is
-    cyclotomic(phi_index) and the two annihilators are annihilator_poly(p)
-    and annihilator_poly(k), which the code that prints them builds, once
-    per k or j; a text sweep builds none.
+    (cyclotomic_multiplicity), or, for divides_in_p, off their exponents
+    alone.  The record holds scalars only: Phi is cyclotomic(phi_index)
+    and the two annihilators are annihilator_poly(p) and
+    annihilator_poly(k), which the code that prints them builds, once per
+    k or j; a text sweep builds none.
     """
 
     p: int
@@ -452,10 +462,13 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> Iterator[Distinctness
     in ps or ks, checked (checked_annihilator_poly, so a MismatchError
     comes before any output) and dropped; only the four exponents of each
     j are kept, so the memory held is O(len(ps) + len(ks)) however many
-    pairs follow.  Every divisibility fact is then cyclotomic_multiplicity
-    >= 1 on those exponents: divides_in_k once per k, the p = 1 unit-ideal
-    fact once, and for each pair one sum over at most four exponents, with
-    no polynomial division and no polynomial built.
+    pairs follow.  Every divisibility fact is then read off those
+    exponents, with no polynomial division and no polynomial built:
+    divides_in_k is cyclotomic_multiplicity >= 1, once per k, and the p = 1
+    unit-ideal fact is taken once.  A pair's divides_in_p is False with no
+    multiplicity when n = k(k+1) exceeds every exponent of p, since n | a
+    with a >= 1 needs n <= a; for p < k that is every pair, as
+    k(k+1) > p(p+1).  Otherwise it is cyclotomic_multiplicity >= 1.
     """
     binomials, p1_ideal_is_unit = {}, False
     for j in sorted({*ps, *ks}):
@@ -469,11 +482,12 @@ def _certificates(ps: Sequence[int], ks: Sequence[int]) -> Iterator[Distinctness
     in_k = {k: cyclotomic_multiplicity(k * (k + 1), binomials[k]) >= 1 for k in ks}
     for p in ps:
         binomials_p = binomials[p]
+        top = max(binomials_p, default=0)
         for k in ks:
             if k <= p:
                 continue
             n, divides_in_k = k * (k + 1), in_k[k]
-            divides_in_p = cyclotomic_multiplicity(n, binomials_p) >= 1
+            divides_in_p = n <= top and cyclotomic_multiplicity(n, binomials_p) >= 1
             # The one place the mode and validity rules live.
             if p >= 2:
                 mode, valid = "cyclotomic", divides_in_k and not divides_in_p
@@ -523,7 +537,9 @@ class GammaArtifacts:
     generator for generator, and the Alexander polynomial of presentation,
     the gcd of its E1 (fox_ideal_gamma, taken on each access as four 3x3
     determinants, one per row set, by first_elementary_ideal), is the
-    annihilator polynomial."""
+    annihilator polynomial.  That verdict is decided by
+    alexander_polynomial_is on the annihilator's binomials, so no
+    Alexander polynomial is held."""
 
     p: int
     presentation: Presentation
@@ -550,9 +566,13 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
     (checked against its closed form), the order ideal and the
     Fox-calculus cross-checks.  The tab E1 takes three 2x2 determinants,
     one per row set, by first_elementary_ideal (its columns a and b have
-    degree 0); the gcd verdict reads the Alexander polynomial, with no 3x3
-    determinant.  The four-generator presentation is abelianized once, for
-    degree_map and the gcd."""
+    degree 0).  The gcd verdict is alexander_polynomial_is on the
+    annihilator's binomials: each row-set determinant of the Alexander
+    polynomial is divided exactly by A (t^d - 1)/(t - 1), A the
+    annihilator and d the least nonzero kept degree, and only the small
+    cofactors take a gcd, with no 3x3 determinant and no Alexander
+    polynomial built.  The four-generator presentation is abelianized
+    once, for degree_map and the verdict."""
     poly = checked_annihilator_poly(p)
     relations, ideal = order_ideal(p)
     presentation = gamma_presentation(p)
@@ -569,5 +589,5 @@ def gamma_artifacts(p: int) -> GammaArtifacts:
         order_ideal=ideal,
         fox_ideal_tab=fox_tab,
         fox_tab_matches_order_ideal=set(fox_tab) == set(ideal),
-        fox_gamma_gcd_equals_annihilator=_alexander_polynomial(presentation, ab) == poly,
+        fox_gamma_gcd_equals_annihilator=alexander_polynomial_is(presentation, ab, _annihilator_binomials(p)),
     )

@@ -32,8 +32,16 @@ to M v = 0 with v_j = t^(d_j) - 1, so the minors of one row set are
 binomial multiples of one of them, and
 Delta = gcd_R(u_R) * (t - 1)/(t^|d_j0| - 1) for j0 a kept column of least
 nonzero degree.  The kept generators generate H1 = Z, so their degrees
-have gcd 1 and Delta(1) = +-1; both are checked, and a failure raises
-:class:`BrokenInvariant`, with no second route through full minors.
+have gcd 1, gcd_R u_R(1) = |d_j0| and Delta(1) = +-1; all three are
+checked, and a failure raises :class:`BrokenInvariant`, with no second
+route through full minors.
+
+:func:`alexander_polynomial_is` decides Delta == A for A given as a
+product of binomials (t^a - 1)^s from the same row-set determinants,
+through the same helper, with no gcd of them: each u_R is divided
+exactly by A (t^|d_j0| - 1)/(t - 1), by binomial products and binomial
+quotients, and only the small cofactors take a gcd.  ``gamma`` decides
+its verdict this way.
 
 :func:`first_elementary_ideal` lists E1 itself, generator for generator
 as :func:`elementary_ideal` lists the minors of the Alexander matrix,
@@ -53,7 +61,7 @@ import math
 from typing import Iterable, Mapping
 
 from .intlinalg import Matrix, eliminate_unit_pivots
-from .laurent import LaurentPoly, divide_exact, laurent_det, laurent_gcd, minors
+from .laurent import LaurentPoly, NotDivisible, divide_exact, laurent_det, laurent_gcd, minors
 from .presentations import AbelianizationResult, Presentation, abelianization
 from .words import Word
 
@@ -199,6 +207,11 @@ def _laurent(x: dict[int, int] | None) -> LaurentPoly:
     return LaurentPoly._trusted(x) if x else LaurentPoly()
 
 
+def _binomial(a: int) -> LaurentPoly:
+    """t^a - 1."""
+    return LaurentPoly({a: 1, 0: -1})
+
+
 def fox_matrix(
     generators: Iterable[str],
     relators: Iterable[Word],
@@ -280,7 +293,7 @@ def first_elementary_ideal(P: Presentation, degree_map: Mapping[str, int]) -> tu
     d0 = min(d for d in degrees if d)
     j0 = degrees.index(d0)
     grid = fox_matrix(P.generators[:j0] + P.generators[j0 + 1 :], P.relators, degree_map).row_lists()
-    binomial = LaurentPoly({d0: 1, 0: -1})
+    binomial = _binomial(d0)
     gens: dict[LaurentPoly, None] = {}
     for u in _row_set_dets(grid, c - 1):
         if not u:
@@ -293,6 +306,36 @@ def first_elementary_ideal(P: Presentation, degree_map: Mapping[str, int]) -> tu
     if LaurentPoly.one() in gens:
         return (LaurentPoly.one(),)
     return tuple(gens)
+
+
+def _alexander_row_sets(P: Presentation, ab: AbelianizationResult) -> tuple[list[LaurentPoly], int]:
+    """The determinants u_R of alexander_polynomial, one per row set of the
+    eliminated Fox rows, and the least nonzero kept degree d0 they are
+    taken against, given ab = abelianization(P).
+
+    Raises NotInfiniteCyclicAbelianization unless ab is Z, and
+    BrokenInvariant unless the kept degrees have gcd 1 and
+    gcd_R u_R(1) = d0.  The second is the t = 1 Fitting-ideal fact: each
+    maximal minor of R is +-u_R(1) d_j/d0 at t = 1, and those minors
+    generate the first Fitting ideal of H1 = Z, which is Z.
+    """
+    if not ab.is_infinite_cyclic():
+        raise NotInfiniteCyclicAbelianization(
+            f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
+        )
+    column = {g: j for j, g in enumerate(P.generators)}
+    rows = [_fox_row(r, column, ab.degree_map) for r in P.relators]
+    M, kept = eliminate_unit_pivots(rows, len(column), _laurent)
+    degrees = [abs(ab.degree_map[P.generators[j]]) for j in kept]
+    if math.gcd(*degrees) != 1:
+        raise BrokenInvariant(f"the kept generators have degrees {degrees}, gcd not 1")
+    d0 = min(d for d in degrees if d)
+    j0 = degrees.index(d0)
+    dets = _row_set_dets([row[:j0] + row[j0 + 1 :] for row in M.row_lists()], M.cols - 1)
+    at_one = math.gcd(*(u.value_at_one() for u in dets))
+    if at_one != d0:
+        raise BrokenInvariant(f"the row-set determinants have gcd {at_one} at t = 1, not {d0}")
+    return dets, d0
 
 
 def alexander_polynomial(P: Presentation) -> LaurentPoly:
@@ -323,35 +366,59 @@ def alexander_polynomial(P: Presentation) -> LaurentPoly:
     t = 1, each solving one relation for one generator, so the kept
     generators generate H1 = Z, and d, an isomorphism H1 -> Z, sends them
     to a set of integers with gcd 1.  The (c - 1)-minors of M'(1) generate
-    the first Fitting ideal of Z, which is Z, so Delta(1) = +-1; in
-    particular Delta is never 0, and r >= c - 1.
+    the first Fitting ideal of Z, which is Z; they are +-u_R(1) d_j/d0, so
+    gcd_R u_R(1) = d0 and Delta(1) = +-1.  In particular Delta is never 0,
+    and r >= c - 1.
 
     A matrix with r = c - 1 has one row set and needs no gcd; when
     |d_j0| = 1 there is no division.  There is no second route through
-    full minors: a kept-degree gcd other than 1 or a Delta(1) other than
-    +-1 can only be a bug, and raises BrokenInvariant.  Returns 1 for the
-    one-generator free presentation.
+    full minors: a kept-degree gcd other than 1, a gcd_R u_R(1) other than
+    d0 or a Delta(1) other than +-1 can only be a bug, and raises
+    BrokenInvariant.  Returns 1 for the one-generator free presentation.
     """
-    return _alexander_polynomial(P, abelianization(P))
-
-
-def _alexander_polynomial(P: Presentation, ab: AbelianizationResult) -> LaurentPoly:
-    """alexander_polynomial(P), given ab = abelianization(P)."""
-    if not ab.is_infinite_cyclic():
-        raise NotInfiniteCyclicAbelianization(
-            f"abelianization has rank {ab.free_rank} and torsion {list(ab.torsion)}"
-        )
-    column = {g: j for j, g in enumerate(P.generators)}
-    rows = [_fox_row(r, column, ab.degree_map) for r in P.relators]
-    M, kept = eliminate_unit_pivots(rows, len(column), _laurent)
-    degrees = [abs(ab.degree_map[P.generators[j]]) for j in kept]
-    if math.gcd(*degrees) != 1:
-        raise BrokenInvariant(f"the kept generators have degrees {degrees}, gcd not 1")
-    d0 = min(d for d in degrees if d)
-    j0 = degrees.index(d0)
-    delta = laurent_gcd(_row_set_dets([row[:j0] + row[j0 + 1 :] for row in M.row_lists()], M.cols - 1))
+    dets, d0 = _alexander_row_sets(P, abelianization(P))
+    delta = laurent_gcd(dets)
     if d0 > 1:
-        delta = divide_exact(delta.times_binomial(1), LaurentPoly({d0: 1, 0: -1})).canonical()
+        delta = divide_exact(delta.times_binomial(1), _binomial(d0)).canonical()
     if delta.value_at_one() not in (1, -1):
         raise BrokenInvariant(f"Delta = {delta} does not take the value +-1 at t = 1")
     return delta
+
+
+def alexander_polynomial_is(P: Presentation, ab: AbelianizationResult, binomials: Mapping[int, int]) -> bool:
+    """alexander_polynomial(P) == A.canonical() for A = prod (t^a - 1)^s
+    over the pairs a: s of binomials, given ab = abelianization(P), with
+    no gcd of the row-set determinants.  Every a must be at least 1 and A
+    a Laurent polynomial; the caller checks that, as for
+    cyclotomic_multiplicity.
+
+    Delta = gcd_R(u_R) (t - 1)/(t^d0 - 1) (see alexander_polynomial), so
+    Delta is A up to a unit exactly when gcd_R(u_R) is
+    A' = A (t^d0 - 1)/(t - 1) up to a unit: when A' divides every u_R and
+    the cofactors u_R/A' have canonical gcd 1.  Each u_R is multiplied by
+    the binomials of the denominator of A' by times_binomial, then divided
+    by those of its numerator, one exact binomial quotient each, with a
+    binomial on both sides cancelled first; a failed division answers
+    False.  The only gcd is of the cofactors, whose
+    degrees are those of the u_R less deg A'.  The errors are those of
+    alexander_polynomial, less the Delta(1) check, which the t = 1 fact
+    on the u_R implies.
+    """
+    dets, d0 = _alexander_row_sets(P, ab)
+    # the exponents of A' = prod (t^a - 1)^s, common binomials cancelled
+    net = dict(binomials)
+    net[d0] = net.get(d0, 0) + 1
+    net[1] = net.get(1, 0) - 1
+    up = [a for a, s in net.items() for _ in range(s)]
+    down = [a for a, s in net.items() for _ in range(-s)]
+    cofactors = []
+    for u in dets:
+        for a in down:
+            u = u.times_binomial(a)
+        try:
+            for a in up:
+                u = divide_exact(u, _binomial(a))
+        except NotDivisible:
+            return False
+        cofactors.append(u)
+    return laurent_gcd(cofactors) == LaurentPoly.one()

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import golden
 import knotcert
 
 from knotcert import cli
@@ -165,144 +167,42 @@ class TestIndented:
         assert walked_lists >= 50
 
 
-# Coefficient lines printed by `alexander --file` on each `present` form,
-# recorded from the full-minors implementation.
-ALEXANDER_GOLDEN = {
-    ("wirtinger", 2): "1 -1 1",
-    ("wirtinger", 3): "1 -1 0 1 0 -1 1",
-    ("wirtinger", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
-    ("standard", 2): "1 -1 1",
-    ("standard", 3): "1 -1 0 1 0 -1 1",
-    ("standard", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
-    ("gamma", 2): "1 -1 1",
-    ("gamma", 3): "1 -1 0 1 0 -1 1",
-    ("gamma", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
-    ("gamma-tab", 2): "1 -1 1",
-    ("gamma-tab", 3): "1 -1 0 1 0 -1 1",
-    ("gamma-tab", 4): "1 -1 0 0 1 0 -1 0 1 0 0 -1 1",
-    ("double", 2): "1 -2 3 -2 1",
-    ("double", 3): "1 -2 1 2 -2 -2 5 -2 -2 2 1 -2 1",
-    ("double", 4): "1 -2 1 0 2 -2 -2 2 3 -2 -2 -2 7 -2 -2 -2 3 2 -2 -2 2 0 1 -2 1",
-}
-
-
-# Malformed words, words with unknown names and words whose syllables
-# cancel, for the wp golden hash; each exits 0 or 2.
-WP_ERROR_WORDS = (
-    "", "x^0", "q", "x^", "^2", "x^2^3", "x z z^-1", "x^-00", "x\x1cy",
-    "x^\u0663", "x^+2", "x ^2", "x^2y", "x^-", "x^--1", "y^0003 x^-0010",
-    "x\u00a0y^2", "x y x^-1 y^-1 z^0", "x!", "\u00e9", "x y^1 x^-1 x y^-1",
-)
-
-
-def _wp_golden_cases():
-    """About 200 seeded wp requests: random words over {x, y} of up to 3000
-    syllables, with merges, cancellations, leading zeros and mixed
-    whitespace, on several (p, q), then the error words."""
-    rng = random.Random(2011)
-    params = [(2, 3), (3, 2), (2, 5), (3, 4), (5, 7), (7, 9), (4, 9), (2, 9)]
-    cases = []
-    for i in range(180):
-        n = 3000 if i % 30 == 0 else rng.randint(0, 3000)
-        alternate = i % 3 == 0
-        tokens = []
-        for j in range(n):
-            g = "xy"[j % 2] if alternate else rng.choice("xy")
-            e = rng.choice((-1, 1)) * rng.randint(1, 9)
-            exp = rng.choice(("", "0", "00")) + str(abs(e))
-            tokens.append(g if e == 1 else f"{g}^{'-' if e < 0 else ''}{exp}")
-        sep = rng.choice((" ", "  ", "\t", " \n "))
-        cases.append((*params[i % len(params)], sep.join(tokens)))
-    cases.append((2, 4, "x"))
-    cases.extend((2, 3, word) for word in WP_ERROR_WORDS)
-    return cases
+GOLDEN = {entry.name: entry for entry in golden.GOLDEN}
 
 
 class TestGolden:
+    """The pinned stdout of tests/golden.py, which also runs it with no
+    test framework; every entry of its table is checked here."""
+
+    def _check(self, *names):
+        for name in names:
+            assert golden.digest(GOLDEN[name]) == GOLDEN[name].digest, name
+
     def test_alexander_on_every_present_form(self, tmp_path):
-        for (form, p), line in ALEXANDER_GOLDEN.items():
-            _, text = capture(["present", "--p", str(p), "--form", form])
-            path = tmp_path / f"{form}-{p}.txt"
-            path.write_text(text, encoding="utf-8")
-            assert capture(["alexander", "--file", str(path)]) == (0, line + "\n")
+        for (form, p), line in golden.ALEXANDER_GOLDEN.items():
+            assert golden.alexander_line(form, p, str(tmp_path)) == (0, line + "\n"), (form, p)
 
     def test_distinct_range_stdout_hash(self):
-        # sha256 of the stdout of the per-pair implementation, which
-        # recomputed the k-side facts for every pair.
-        for extra, digest in (
-            ([], "d5e8bdc706327eb96168f8e9ebad6ec8a9966095639787f14807b7398eccaffe"),
-            (["--json"], "cbc5211d51b59d9f181cd09e5f8ddb6e03cb6e65e972055211a0b334b0333783"),
-        ):
-            code, text = capture(["distinct-range", "--min", "1", "--max", "19"] + extra)
-            assert code == 0
-            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+        self._check("distinct-range 1..19", "distinct-range 1..19 --json")
 
     def test_distinct_range_every_range_stdout_hash(self):
-        # sha256 of argv, exit code and stdout of distinct-range for every
-        # 1 <= lo <= hi <= 40 as text, every 1 <= lo <= hi <= 25 as JSON and
-        # 1..40 as JSON, from the producer that built the whole certificate
-        # list before the first line and wrote JSON by json.dumps(indent=2).
-        argvs = [[lo, hi] for lo in range(1, 41) for hi in range(lo, 41)]
-        argvs += [[lo, hi, "--json"] for lo in range(1, 26) for hi in range(lo, 26)]
-        argvs += [[1, 40, "--json"]]
-        h = hashlib.sha256()
-        for lo, hi, *extra in argvs:
-            argv = ["distinct-range", "--min", str(lo), "--max", str(hi)] + extra
-            code, text = capture(argv)
-            h.update(f"{' '.join(argv)}\n{code}\n{text}".encode("utf-8"))
-        assert h.hexdigest() == "d1f0e99750935cb295187db796692d35c859f3d840f222b9e7d934962bb7be95"
+        self._check("distinct-range every range")
 
     def test_distinct_stdout_hash(self):
-        # sha256 of exit codes and stdout of distinct --p P --k K for
-        # 1 <= P < K <= 15, text then JSON, from the single-pair producer
-        # that glued its k-side and p-side facts together by position.
-        h = hashlib.sha256()
-        for extra in ([], ["--json"]):
-            for p in range(1, 16):
-                for k in range(p + 1, 16):
-                    code, text = capture(["distinct", "--p", str(p), "--k", str(k)] + extra)
-                    h.update(f"{code}\n{text}".encode("utf-8"))
-        assert h.hexdigest() == "c8536b92833509066c76f36fb8a5b938ebbf20e90a226e40be408371791c8f8c"
+        self._check("distinct")
 
     def test_gamma_stdout_hash(self):
-        # sha256 of the stdout of gamma --p 1..30, one command after the
-        # other, from Bareiss over the Laurent ring, which multiplied and
-        # divided LaurentPolys inside every determinant
-        for extra, digest in (
-            ([], "aea0bd7d0939c35f8fa9a393bc7e2c8ae0dbede600b4334796f13ba61c44aba6"),
-            (["--json"], "d225fab16df462769185136fb141f9bc7d32828cf18c2db645160f5f8e95f73f"),
-        ):
-            h = hashlib.sha256()
-            for p in range(1, 31):
-                code, text = capture(["gamma", "--p", str(p)] + extra)
-                assert code == 0
-                h.update(text.encode("utf-8"))
-            assert h.hexdigest() == digest
+        self._check("gamma 1..30", "gamma 1..30 --json")
 
     def test_wp_stdout_hash(self):
-        # sha256 of exit codes and stdout from the per-token parser, which
-        # ran a regex, a partition and an int for every token, and the
-        # list-stack reduction.
-        h = hashlib.sha256()
-        for p, q, word in _wp_golden_cases():
-            code, text = capture(["wp", "--p", str(p), "--q", str(q), "--word", word])
-            h.update(f"{code}\n{text}".encode("utf-8"))
-        assert h.hexdigest() == "19e6dbda95e0c7bd704300555a6faff8121b88e37df4747384ffe4a2674c091f"
+        self._check("wp")
 
     def test_report_verbs_stdout_hash(self):
-        # sha256 of exit codes and stdout of verify-tau and fold for
-        # p = 0..12, then selftest, from the CLI that worked out the tau
-        # and fold verdicts inline.
-        argvs = (
-            [["verify-tau", "--p", str(p)] for p in range(13)]
-            + [["fold", "--p", str(p)] for p in range(13)]
-            + [["selftest"]]
-        )
-        h = hashlib.sha256()
-        for argv in argvs:
-            code, text = capture(argv)
-            h.update(f"{code}\n{text}".encode("utf-8"))
-        assert h.hexdigest() == "8273d5dbda6dd676f87a5cd1bd53c89c1636671f8ef0de6e7caa847ff13f9e24"
+        self._check("verify-tau, fold and selftest")
+
+    def test_every_entry_is_checked(self):
+        source = inspect.getsource(TestGolden)
+        assert [name for name in GOLDEN if f'"{name}"' not in source] == []
 
     def test_verify_tau_verdicts(self):
         for p in range(2, 6):

@@ -272,6 +272,13 @@ class TestOrderIdeal:
                 (t_minus_1 * pp).canonical(),
             ), p
 
+    def test_generators_are_the_minors(self, order_ideals):
+        # oracle for the closed form: every 2x2 minor of the relation
+        # matrix, listed by elementary_ideal
+        for p in range(1, 41):
+            relations, _ = order_ideal(p)
+            assert order_ideals[p] == elementary_ideal(relations, 0), p
+
     def test_p1_unit(self):
         # the certificates read this fact off the annihilator alone
         _, ideal = order_ideal(1)
@@ -337,16 +344,20 @@ class TestDistinctness:
         # On real inputs phi never divides annihilator_poly(p) for p < k and
         # annihilator_poly(1) is always a unit; faked facts show that the
         # rule still reads each one, in the sweep and for a single pair.
-        # A non-unit at 1 takes the binomials of 2 as well, so that it passes
-        # the identity check.
+        # A pair's fact takes a multiplicity only when phi_index is at most
+        # an exponent of p, never on real inputs, so the faked multiplicities
+        # come with an exponent of s = 0 above every phi_index, which leaves
+        # each polynomial as it is.  A non-unit at 1 takes the binomials of 2
+        # as well, so that it passes the identity check.
         real_binomials = constructions._annihilator_binomials
+        reach = {"_annihilator_binomials": lambda p: {**real_binomials(p), 10**6: 0}}
         non_unit_at_1 = {
             "annihilator_poly": lambda p: annihilator_poly(2 if p == 1 else p),
             "_annihilator_binomials": lambda p: real_binomials(2 if p == 1 else p),
         }
         for fakes, verdicts in (
-            ({"cyclotomic_multiplicity": lambda n, binomials: 1}, [True, True, False]),
-            ({"cyclotomic_multiplicity": lambda n, binomials: 0}, [False, False, False]),
+            ({**reach, "cyclotomic_multiplicity": lambda n, binomials: 1}, [True, True, False]),
+            ({**reach, "cyclotomic_multiplicity": lambda n, binomials: 0}, [False, False, False]),
             (non_unit_at_1, [False, False, True]),
         ):
             with monkeypatch.context() as m:
@@ -410,8 +421,9 @@ class TestDistinctnessSweep:
         assert distinctness_certificates(3, 3) == []
 
     def test_one_fold_test_per_pair(self, monkeypatch):
-        # C(m, 2) pair decisions plus one k-side decision per k, each a
-        # cyclotomic multiplicity; one identity check per parameter j, that
+        # One k-side decision per k, a cyclotomic multiplicity, and none for
+        # a pair, as k(k+1) exceeds every exponent of p < k; one identity
+        # check per parameter j, that
         # is annihilator_poly(j) times (t^j - 1)(t^(j+1) - 1) against the
         # numerator (t^(j(j+1)) - 1)(t - 1), built from 1 (for j = 1 both
         # products are empty); no division at all.
@@ -435,7 +447,7 @@ class TestDistinctnessSweep:
             decisions.clear()
             products.clear()
             assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            assert len(decisions) == math.comb(m, 2) + (m - 1), m
+            assert sorted(decisions) == [k * (k + 1) for k in range(2, m + 1)], m
             expected = [(ONE, (j * (j + 1), 1)) for j in range(2, m + 1)]
             expected += [(annihilator_poly(j), (j, j + 1)) for j in range(2, m + 1)]
             if m > 1:  # j = 1
@@ -444,8 +456,9 @@ class TestDistinctnessSweep:
         assert divisions == []
 
     def test_residue_decides_every_pair(self, monkeypatch):
-        # Every pair fact has multiplicity 0, so "does not divide", and
-        # every k-side fact, one per k, has multiplicity exactly 1.
+        # Every k-side fact, one per k, has multiplicity exactly 1; every
+        # pair fact is "does not divide", from the exponents alone, with no
+        # multiplicity taken.
         verdicts = []
         real = constructions.cyclotomic_multiplicity
 
@@ -458,9 +471,17 @@ class TestDistinctnessSweep:
         for m in (2, 8, 19, 60):
             verdicts.clear()
             assert cli.run(["distinct-range", "--min", "1", "--max", str(m)], io.StringIO()) == 0
-            expected = [(k * (k + 1), 1) for k in range(2, m + 1)]
-            expected += [(k * (k + 1), 0) for k in range(2, m + 1) for _ in range(1, k)]
-            assert sorted(verdicts) == sorted(expected), m
+            assert sorted(verdicts) == [(k * (k + 1), 1) for k in range(2, m + 1)], m
+            assert not any(c.divides_in_p for c in distinctness_certificates(1, m)), m
+
+    def test_pair_facts_match_the_unbounded_multiplicity(self):
+        # Oracle for skipping the multiplicity past the exponents of p
+        binomials = constructions._annihilator_binomials
+        certs = distinctness_certificates(1, 60)
+        assert len(certs) == math.comb(60, 2)
+        for c in certs:
+            n = c.k * (c.k + 1)
+            assert c.divides_in_p == (laurent.cyclotomic_multiplicity(n, binomials(c.p)) >= 1), (c.p, c.k)
 
     def test_annihilator_that_is_not_its_binomial_quotient_is_refused(self, monkeypatch, capsys):
         # A wrong annihilator_poly(2), (1 + t) times the right one, fails the
@@ -654,16 +675,20 @@ class TestArtifacts:
 
     def test_only_the_json_printer_takes_three_by_three_minors(self, monkeypatch):
         # fox binds laurent_det and laurent_gcd itself, so both modules'
-        # names are patched; a gcd call records the function it came from
-        sizes, callers = [], []
+        # names are patched; a gcd call records the function it came from,
+        # and the verdict's one gcd is of cofactors, never of a determinant
+        sizes, callers, dets, gcd_inputs = [], [], [], []
         real_det, real_gcd = laurent.laurent_det, laurent.laurent_gcd
 
         def det(rows):
             sizes.append(len(rows))
-            return real_det(rows)
+            dets.append(real_det(rows))
+            return dets[-1]
 
         def gcd(polys):
+            polys = list(polys)
             callers.append(sys._getframe(1).f_code.co_name)
+            gcd_inputs.extend(polys)
             return real_gcd(polys)
 
         for module in (laurent, fox):
@@ -673,13 +698,17 @@ class TestArtifacts:
         for extra in ([], ["--json"]):
             sizes.clear()
             callers.clear()
+            dets.clear()
+            gcd_inputs.clear()
             assert cli.run(["gamma", "--p", "80"] + extra, io.StringIO()) == 0
             counts[bool(extra)] = {n: sizes.count(n) for n in set(sizes)}
-            assert set(callers) == {"_alexander_polynomial"}, extra
+            assert callers == ["alexander_polynomial_is"], extra
+            assert gcd_inputs and not any(f in dets for f in gcd_inputs), extra
         # one determinant per row set: the tab E1 takes three 2x2 (its a
-        # and b columns have degree 0), the Alexander polynomial six 2x2
-        # after unit-pivot elimination, and fox_ideal_gamma four 3x3
-        assert counts == {False: {2: 9}, True: {2: 9, 3: 4}}
+        # and b columns have degree 0), the verdict three 2x2 after
+        # unit-pivot elimination, and fox_ideal_gamma four 3x3; the order
+        # ideal takes none
+        assert counts == {False: {2: 6}, True: {2: 6, 3: 4}}
         sizes.clear()
         tab = gamma_tab_presentation(80)
         first_elementary_ideal(tab, abelianization(tab).degree_map)

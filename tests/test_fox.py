@@ -12,6 +12,7 @@ from knotcert.constructions import (
     gamma_presentation,
     gamma_tab_presentation,
     standard_presentation,
+    _annihilator_binomials,
     tau_word,
     torus_wirtinger,
 )
@@ -25,13 +26,14 @@ from knotcert.fox import (
     abelianize_element,
     alexander_matrix,
     alexander_polynomial,
+    alexander_polynomial_is,
     elementary_ideal,
     first_elementary_ideal,
     fox_derivative,
     fox_matrix,
 )
 from knotcert.intlinalg import Matrix, eliminate_unit_pivots
-from knotcert.laurent import LaurentPoly, divide_exact, laurent_gcd
+from knotcert.laurent import LaurentPoly, _prime_factors, divide_exact, laurent_gcd
 from knotcert.fileformat import parse_presentation
 from knotcert.presentations import Presentation, abelianization, add_relator
 from knotcert.words import Word
@@ -757,3 +759,118 @@ class TestFirstElementaryIdeal:
         P = Presentation(("x", "y"), [W(("x", 1), ("y", 1))])
         with pytest.raises(ValueError):
             first_elementary_ideal(P, {"x": 1, "y": 1})
+
+
+def _binomial_product(binomials):
+    # prod (t^a - 1)^s, the numerator's binomials multiplied first and the
+    # denominator's divided out exactly
+    f = ONE
+    for a, s in binomials.items():
+        for _ in range(s):
+            f = f.times_binomial(a)
+    for a, s in binomials.items():
+        for _ in range(-s):
+            f = divide_exact(f, LaurentPoly({a: 1, 0: -1}))
+    return f
+
+
+def _cyclotomic_binomials(n):
+    # Phi_n = prod over d | n with n/d squarefree of (t^d - 1)^mu(n/d)
+    primes = _prime_factors(n)
+    out = {}
+    for mask in range(1 << len(primes)):
+        qs = [q for i, q in enumerate(primes) if mask >> i & 1]
+        out[n // math.prod(qs)] = (-1) ** len(qs)
+    return out
+
+
+def _times(*binomial_maps):
+    out = {}
+    for binomials in binomial_maps:
+        for a, s in binomials.items():
+            out[a] = out.get(a, 0) + s
+    return out
+
+
+def _torus_binomials(p, q):
+    return {p * q: 1, 1: 1, p: -1, q: -1}
+
+
+def _is_cases():
+    """Presentations with abelianization Z, each with candidate binomials:
+    the right one, 1 and the square of the right one, the closed forms of
+    some T(p, q), and cyclotomic polynomials, one at a time and in pairs."""
+    rng = random.Random(47)
+    presentations = [(gamma_presentation(p), _annihilator_binomials(p)) for p in range(1, 11)]
+    presentations += [(torus_wirtinger(p), _torus_binomials(p, p + 1)) for p in range(2, 9)]
+    presentations += [(standard_presentation(p, q), _torus_binomials(p, q)) for p, q in ((2, 5), (3, 7), (5, 4))]
+    presentations += [(add_relator(torus_wirtinger(p), tau_word(p)), {}) for p in (2, 3)]
+    presentations += [(_random_z_presentation(rng), {}) for _ in range(6)]
+    cases = []
+    for P, right in presentations:
+        candidates = [right, {}, {a: 2 * s for a, s in right.items()}]
+        candidates += [_torus_binomials(p, p + 1) for p in (2, 3, 4)] + [_torus_binomials(2, 5)]
+        candidates += [_cyclotomic_binomials(n) for n in (1, 2, 6, 12, 20)]
+        # products, whose exponents can sum to s = 0: Phi_6 Phi_12 is
+        # Delta(T(3, 4)) as {12: 1, 6: 0, 4: -1, 3: -1, 2: 0, 1: 1}
+        candidates += [_times(_cyclotomic_binomials(m), _cyclotomic_binomials(n)) for m, n in ((6, 12), (2, 6))]
+        cases += [(P, c) for c in candidates]
+    return cases
+
+
+class TestAlexanderPolynomialIs:
+    def test_matches_the_full_delta(self):
+        answers = []
+        for P, binomials in _is_cases():
+            expected = alexander_polynomial(P) == _binomial_product(binomials).canonical()
+            assert alexander_polynomial_is(P, abelianization(P), binomials) == expected, (P, binomials)
+            answers.append(expected)
+        assert answers.count(True) >= 40 and answers.count(False) >= 300, answers.count(True)
+
+    def test_both_no_exits(self, monkeypatch):
+        # a failed division answers before any gcd; a candidate that
+        # divides every row-set determinant too seldom leaves cofactors
+        # whose gcd is not 1
+        gcds = []
+        real_gcd = fox.laurent_gcd
+
+        def gcd_spy(polys):
+            gcds.append(real_gcd(polys))
+            return gcds[-1]
+
+        monkeypatch.setattr(fox, "laurent_gcd", gcd_spy)
+        # Delta(G_3) = Phi_6 Phi_12 is not a multiple of T(4, 5)'s
+        P = gamma_presentation(3)
+        assert not alexander_polynomial_is(P, abelianization(P), _torus_binomials(4, 5))
+        assert gcds == []
+        # Phi_12 and 1 are proper divisors of it: the cofactors keep Phi_6,
+        # or all of Delta
+        for binomials, left in ((_cyclotomic_binomials(12), _binomial_product(_cyclotomic_binomials(6))),
+                                ({}, annihilator_poly(3))):
+            gcds.clear()
+            assert not alexander_polynomial_is(P, abelianization(P), binomials)
+            assert gcds == [left], binomials
+        gcds.clear()
+        assert alexander_polynomial_is(P, abelianization(P), _annihilator_binomials(3))
+        assert gcds == [ONE]
+
+    def test_a_faked_determinant_trips_the_value_at_one(self, monkeypatch, capsys):
+        # (1 + t) u_R doubles every u_R(1), so their gcd is 2 d0, which the
+        # Fitting ideal of Z rules out; the verdict takes no Delta(1) of its
+        # own, so this is what catches it
+        real_det = fox.laurent_det
+        monkeypatch.setattr(fox, "laurent_det", lambda rows: real_det(rows) * LaurentPoly({0: 1, 1: 1}))
+        for P, binomials in ((gamma_presentation(4), _annihilator_binomials(4)),
+                             (torus_wirtinger(5), _torus_binomials(5, 6)),
+                             (standard_presentation(3, 7), _torus_binomials(3, 7))):
+            with pytest.raises(BrokenInvariant, match="at t = 1, not"):
+                alexander_polynomial_is(P, abelianization(P), binomials)
+            with pytest.raises(BrokenInvariant, match="at t = 1, not"):
+                alexander_polynomial(P)
+        assert run(["gamma", "--p", "4"], io.StringIO()) == 3
+        assert "at t = 1, not" in capsys.readouterr().err
+
+    def test_rejects_an_abelianization_other_than_z(self):
+        P = Presentation(("x", "y"), [W(("x", 2))])
+        with pytest.raises(NotInfiniteCyclicAbelianization):
+            alexander_polynomial_is(P, abelianization(P), {})

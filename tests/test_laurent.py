@@ -947,6 +947,7 @@ class TestPackedDet:
         monkeypatch.setattr(LaurentPoly, "__rmul__", watch("LaurentPoly product", real_mul))
         assert run(["gamma", "--p", "10", "--json"], io.StringIO()) == 0
         # one determinant per row set: the tab E1 takes three 2x2, the
-        # Alexander polynomial six 2x2 and fox_ideal_gamma four 3x3
-        assert sorted(sizes) == [2] * 9 + [3] * 4
+        # verdict three 2x2 and fox_ideal_gamma four 3x3; the order ideal
+        # takes none
+        assert sorted(sizes) == [2] * 6 + [3] * 4
         assert seen == []
